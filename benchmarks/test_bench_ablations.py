@@ -2,15 +2,17 @@
 
 Two levers the reproduction adds around the paper's design:
 
-* **identity-probe caching** -- a token's identity is immutable for its
-  lifetime, so the introspection probe can be cached per token; this bench
-  quantifies the probe savings while asserting verdicts stay identical.
+* **cross-request probe caching** -- between forwarded mutations the
+  probed state cannot change, so bindings (the token's identity
+  included) can be served from a cache the monitor invalidates after
+  every mutation; this bench quantifies the probe savings while
+  asserting verdicts stay identical.
 * **model slicing** (the paper's future-work item) -- generating the
   monitor from a slice of the models must cost less while preserving the
   contracts of the sliced scenario.
 """
 
-from repro.core import CloudMonitor, ContractGenerator
+from repro.core import CloudMonitor, ContractGenerator, MonitorOptions
 from repro.core import cinder_behavior_model, cinder_resource_model
 from repro.cloud import PrivateCloud
 from repro.uml import slice_models
@@ -18,28 +20,28 @@ from repro.validation import TestOracle, default_setup
 from repro.workloads import synthetic_models
 
 
-def _monitored_session(cache_identity):
+def _monitored_session(probe_cache):
     cloud = PrivateCloud.paper_setup()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=False)
-    monitor.provider.cache_identity = cache_identity
+    monitor = CloudMonitor.for_service(
+        "cinder", cloud.network, "myProject",
+        options=MonitorOptions(enforcing=False, probe_cache=probe_cache))
     cloud.network.register("cmonitor", monitor.app)
     oracle = TestOracle(cloud, monitor)
     oracle.run()
     return monitor
 
 
-def test_bench_ablation_identity_cache_off(benchmark):
+def test_bench_ablation_probe_cache_off(benchmark):
     monitor = benchmark(_monitored_session, False)
     assert monitor.violations() == []
 
 
-def test_bench_ablation_identity_cache_on(benchmark):
+def test_bench_ablation_probe_cache_on(benchmark):
     monitor = benchmark(_monitored_session, True)
     assert monitor.violations() == []
 
 
-def test_bench_ablation_identity_cache_probe_savings(benchmark):
+def test_bench_ablation_probe_cache_probe_savings(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     uncached = _monitored_session(False)
     cached = _monitored_session(True)
@@ -48,7 +50,7 @@ def test_bench_ablation_identity_cache_probe_savings(benchmark):
         [v.verdict for v in uncached.log]
     saved = uncached.provider.probe_count - cached.provider.probe_count
     assert saved > 0
-    print(f"\n[ABLATION] identity cache saves {saved} of "
+    print(f"\n[ABLATION] probe cache saves {saved} of "
           f"{uncached.provider.probe_count} probe GETs over the battery "
           f"({saved / uncached.provider.probe_count:.0%})")
 

@@ -22,7 +22,8 @@ from repro.core import (
     ResourceModelBuilder,
 )
 from repro.core.monitor import MonitoredOperation
-from repro.httpsim import Application, Network, Response, path, status
+from repro.httpsim import Application, Network, Response, path
+from repro.ocl import UNDEFINED
 from repro.rbac import (
     Enforcer,
     RBACModel,
@@ -132,23 +133,20 @@ def build_wiki_service(keystone: KeystoneService) -> Application:
 # -- 3. a state provider for the wiki's OCL roots ------------------------------
 
 class WikiStateProvider(CloudStateProvider):
-    """Probes the wiki's addressable state: the pages collection + user."""
+    """Probes the wiki's addressable state: the pages collection + user.
 
-    def bindings(self, token, item_id=None):
-        listing = self._get(token, "http://wiki/v1/pages")
-        pages = (listing.json().get("pages", [])
-                 if status.indicates_existence(listing.status_code) else None)
-        user = {}
-        whoami = self._get(token, f"http://{self.keystone_host}/v3/auth/tokens",
-                           extra_headers={"X-Subject-Token": token})
-        if status.indicates_existence(whoami.status_code):
-            info = whoami.json().get("token", {})
-            user = {"id": info.get("user", {}).get("id"),
-                    "roles": [r["name"] for r in info.get("roles", [])]}
-        bindings = {"user": user}
-        if pages is not None:
-            bindings["pages"] = pages
-        return bindings
+    The probe table names one method per OCL root; ``user`` reuses the
+    inherited Keystone token introspection.  Planning, skipped-probe
+    accounting, caching and fan-out all come from the base class.
+    """
+
+    roots = ("pages", "user")
+    probes = (("pages", "_probe_pages"), ("user", "_identity"))
+
+    def _probe_pages(self, token, item_id, cache):
+        listing = self.probe_body(
+            self._get(token, "http://wiki/v1/pages", cache=cache))
+        return listing.get("pages", []) if listing is not None else UNDEFINED
 
 
 def main() -> None:

@@ -33,7 +33,7 @@ def main() -> None:
         cloud.network, "myProject",
         machine=cinder_behavior_model(with_snapshots=True),
         diagram=cinder_resource_model(with_snapshots=True),
-        enforcing=True, compiled=True, with_mirror=True)
+        enforcing=True, compiled=True)
     nova_monitor = monitor_for_nova(cloud.network, "myProject",
                                     enforcing=True)
     composite = CompositeMonitor([cinder_monitor, nova_monitor])
@@ -84,8 +84,6 @@ def main() -> None:
     # -- aggregate views --------------------------------------------------------
     print(f"\ncomposite log: {len(composite.log)} monitored requests, "
           f"{len(composite.violations())} violations")
-    print(f"mirror knows {len(cinder_monitor.mirror.tables['volume'])} "
-          f"volume(s) locally")
     print("\naggregate coverage across both scenarios:")
     print(composite.coverage().report())
 

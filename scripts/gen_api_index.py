@@ -22,10 +22,11 @@ HEADER = [
     "",
     "Stability notes:",
     "",
-    "- ``CloudStateProvider.bindings``/``context`` take a **mandatory** "
-    "``roots=`` keyword (``None`` still means \"probe everything\"); the "
-    "old positional-only provider signature is no longer sniffed for, so "
-    "custom providers must accept it.",
+    "- Custom ``CloudStateProvider`` subclasses declare a class-level "
+    "``probes`` table of ``(root, probe method)`` pairs (probe methods "
+    "take ``(token, item_id, cache)``) and inherit the one ``bindings`` "
+    "loop; ``bindings``/``context`` take ``roots=`` (``None`` probes "
+    "everything).",
     "- Verdicts serialize through one versioned wire schema "
     "(``repro.core.verdict_schema``, ``schema_version: 2``) shared by "
     "``MonitorVerdict.to_dict``, the audit log, and the JSON exporter; "

@@ -318,6 +318,15 @@ def _event_line(record: dict) -> str:
             f"{trace:<10} {kind:<20} {detail}")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts such as ``--limit``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {value}")
+    return value
+
+
 def cmd_events(args: argparse.Namespace) -> int:
     """Run a monitored session and print its wide-event log.
 
@@ -760,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     events.add_argument("--verdict", default=None,
                         help="only monitor_request events with this "
                              "verdict")
-    events.add_argument("--limit", type=int, default=None,
+    events.add_argument("--limit", type=_non_negative_int, default=None,
                         help="keep only the most recent N matches")
     events.add_argument("--output", "-o", default=None,
                         help="write the matching events as JSONL to a file")

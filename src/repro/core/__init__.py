@@ -7,7 +7,9 @@
   all transitions fired by a method into one pre/post-condition pair with
   ``pre()`` old values,
 * :mod:`repro.core.monitor` -- the runtime cloud monitor of Figure 2:
-  pre-check, forward, post-check, verdict, traceability,
+  pre-check, forward, post-check, verdict, traceability, with the
+  outcome rules in :mod:`repro.core.verdicts` and the probe stage in
+  :mod:`repro.core.provider`,
 * :mod:`repro.core.codegen` -- ``uml2django``: emit the Django-style
   project files (models.py / urls.py / views.py) and a runnable monitor,
 * :mod:`repro.core.coverage` -- security-requirement coverage tracking.
@@ -30,11 +32,11 @@ from .consistency import Overlap, check_consistency
 from .contracts import ContractCase, ContractGenerator, MethodContract
 from .coverage import CoverageTracker
 from .fleet import MonitorFleet, ShardRouter, tenant_from_token
-from .mirror import MirrorDatabase, MirrorTable
-from .monitor import CloudMonitor, CloudStateProvider, MonitorVerdict, Verdict
+from .monitor import CloudMonitor
 from .options import MonitorOptions, ResilienceOptions, resolve_options
 from .planning import PROBE_COSTS, PROBE_ROOTS, ProbePlan
 from .probecache import ProbeCache
+from .provider import CloudStateProvider
 from .resilience import (
     CircuitBreaker,
     ProbeFailure,
@@ -51,6 +53,7 @@ from .verdict_schema import (
     verdict_from_record,
     verdict_record,
 )
+from .verdicts import MonitorVerdict, Verdict
 
 __all__ = [
     "ARRIVAL_HEADER",
@@ -70,8 +73,6 @@ __all__ = [
     "ContractGenerator",
     "CoverageTracker",
     "MethodContract",
-    "MirrorDatabase",
-    "MirrorTable",
     "MonitorFleet",
     "MonitorOptions",
     "MonitorVerdict",

@@ -13,7 +13,7 @@ import json
 from typing import IO, Iterable, List, Union
 
 from ..errors import MonitorError
-from .monitor import MonitorVerdict
+from .verdicts import MonitorVerdict
 from .verdict_schema import verdict_from_record, verdict_record
 
 

@@ -15,7 +15,8 @@ from typing import Dict, Iterable, List
 from ..errors import MonitorError
 from ..httpsim import Application, Request, Response, path
 from .coverage import CoverageTracker
-from .monitor import CloudMonitor, MonitorVerdict
+from .monitor import CloudMonitor
+from .verdicts import MonitorVerdict
 
 
 class CompositeMonitor:

@@ -7,7 +7,7 @@ cloud and routes each incoming request to exactly one of them by tenant
 key (the requesting token by default):
 
 * **isolation** -- every shard owns its own provider, resilient
-  transport (breakers and retry bookkeeping), identity cache, metrics
+  transport (breakers and retry bookkeeping), probe cache, metrics
   registry, trace ring, and wide-event ring; a tenant hammering one
   shard's breakers cannot open another tenant's circuits;
 * **determinism** -- routing is a pure function of the tenant key
@@ -41,8 +41,9 @@ from ..httpsim import Network, Request, Response
 from ..obs import Observability, SLOEngine, TraceIdAllocator, merge_registries
 from ..alerting import SEVERITY_ORDER
 from .auditlog import verdict_to_json
-from .monitor import CloudMonitor, MonitorVerdict
+from .monitor import CloudMonitor
 from .options import MonitorOptions, resolve_options
+from .verdicts import MonitorVerdict
 
 #: How a request is reduced to the key the router shards on.
 TenantKeyFn = Callable[[Request], str]
@@ -322,18 +323,21 @@ class MonitorFleet:
         Each record carries an extra ``shard`` field.  Events a shard's
         bounded ring already evicted before the flush are lost to the
         file (the ring is the source); flush often enough for the
-        retention window.  Returns the records written.
+        retention window.  Shards may keep emitting during the flush:
+        each cursor advances to the last seq actually written, so later
+        events wait for the next flush.  Returns the records written.
         """
         lines: List[str] = []
         for index, monitor in enumerate(self.shards):
             cursor = self._event_cursors[index]
-            fresh = [record for record in monitor.obs.events
+            fresh = [record for record in monitor.obs.events.retained()
                      if record.seq > cursor]
             for record in fresh:
                 payload = record.to_dict()
                 payload["shard"] = index
                 lines.append(json.dumps(payload, sort_keys=True) + "\n")
-            self._event_cursors[index] = monitor.obs.events.emitted_count
+            if fresh:
+                self._event_cursors[index] = fresh[-1].seq
         self._write(destination, lines)
         return len(lines)
 

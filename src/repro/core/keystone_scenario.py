@@ -9,16 +9,17 @@ rule that the last project cannot be deleted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Optional
 
-from ..httpsim import Network, status
+from ..httpsim import Network
 from ..ocl.values import UNDEFINED
 from ..rbac import SecurityRequirement, SecurityRequirementsTable
 from ..uml import ClassDiagram, StateMachine
 from .behavior_model import BehaviorModelBuilder
 from .contracts import ContractGenerator
 from .coverage import CoverageTracker
-from .monitor import CloudMonitor, CloudStateProvider, MonitoredOperation
+from .monitor import CloudMonitor, MonitoredOperation
+from .provider import CloudStateProvider
 from .resource_model import ResourceModelBuilder
 
 SINGLE = "cloud_with_single_project"
@@ -87,38 +88,14 @@ class KeystoneStateProvider(CloudStateProvider):
     # Keystone mutations are identity-plane changes: a project CRUD can
     # shift role assignments and scoping, so nothing survives a mutation.
     mutation_dirty_roots = ("projects", "project", "user")
+    probes = (
+        ("user", "_identity"),
+        ("projects", "_probe_listing"),
+        ("project", "_probe_item"),
+    )
 
-    def bindings(self, token: str,
-                 item_id: Optional[str] = None,
-                 roots: Optional[Iterable[str]] = None) -> Dict[str, Any]:
-        requested = (frozenset(self.roots) if roots is None
-                     else frozenset(roots))
-        cache = self._new_phase_cache()
-        tasks = []
-        skipped = 0
-
-        if "user" in requested:
-            tasks.append(("user", lambda: self._identity(token, cache)))
-        elif not (self.cache_identity and token in self._identity_cache):
-            skipped += self.probe_costs["user"]
-        if "projects" in requested:
-            tasks.append(("projects",
-                          lambda: self._probe_listing(token, cache)))
-        else:
-            skipped += self.probe_costs["projects"]
-        if item_id is not None:
-            if "project" in requested:
-                tasks.append(("project",
-                              lambda: self._probe_item(token, item_id,
-                                                       cache)))
-            else:
-                skipped += self.probe_costs["project"]
-
-        self._count_skipped(skipped)
-        return self._execute_probe_tasks(tasks, token=token, item_id=item_id)
-
-    def _probe_listing(self, token: str,
-                       cache: Optional[Dict[tuple, Any]] = None) -> Any:
+    def _probe_listing(self, token: str, item_id: Optional[str],
+                       cache) -> Any:
         listing_body = self.probe_body(self._get(
             token, f"http://{self.keystone_host}/v3/projects",
             cache=cache))
@@ -126,8 +103,7 @@ class KeystoneStateProvider(CloudStateProvider):
             return UNDEFINED
         return listing_body.get("projects", [])
 
-    def _probe_item(self, token: str, item_id: str,
-                    cache: Optional[Dict[tuple, Any]] = None) -> Any:
+    def _probe_item(self, token: str, item_id: str, cache) -> Any:
         item_body = self.probe_body(self._get(
             token,
             f"http://{self.keystone_host}/v3/projects/{item_id}",

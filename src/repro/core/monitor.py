@@ -26,26 +26,28 @@ With demand-driven probe planning (the default, see
 :mod:`repro.core.planning`) each probe round binds only the roots the
 contract's expressions actually read, instead of the full
 project/volume/quota/user sweep the paper's wrapper pays on every phase.
+
+This module runs the stages; the probing lives in
+:mod:`repro.core.provider` and the outcome rules -- which verdict, which
+HTTP answer -- in the pure :func:`repro.core.verdicts.decide`.
 """
 
 from __future__ import annotations
 
-import copy
 import re
 import threading
 import warnings
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..alerting import AlarmEngine
 from ..errors import MonitorError
-from ..httpsim import Application, Network, Request, Response, path, status
+from ..httpsim import Application, Network, Request, Response, path
 from ..obs import Observability, ObservabilityMiddleware, SLOEngine
 from ..obs.analytics import critical_path, trace_report
 from ..obs.overhead import OverheadRecorder
 from ..obs.sampling import DECISION_DROPPED, TraceSampler
 from ..ocl import Context
-from ..ocl.values import UNDEFINED
 from ..uml import ClassDiagram, StateMachine, Trigger
 from .admission import (
     ARRIVAL_HEADER,
@@ -56,13 +58,14 @@ from .admission import (
 )
 from .contracts import MethodContract
 from .coverage import CoverageTracker
-from .mirror import MirrorDatabase
 from .options import MonitorOptions, resolve_options
-from .planning import PROBE_COSTS, PROBE_ROOTS, ProbePlan
+from .planning import ProbePlan
 from .probecache import ProbeCache
-from .resilience import ProbeFailure, transport_failure
-from .scheduler import ProbeScheduler, SingleFlight
-from .verdict_schema import verdict_record
+from .provider import CloudStateProvider
+from .resilience import transport_failure
+from .scheduler import ProbeScheduler
+from .verdicts import Facts, MonitorVerdict, Verdict, decide
+
 
 def _round9(value: float) -> float:
     """Canonical 9-significant-digit rounding for wide-event durations."""
@@ -77,570 +80,6 @@ EXPECTED_SUCCESS_CODES: Dict[str, Tuple[int, ...]] = {
     "POST": (200, 201, 202),
     "DELETE": (204,),
 }
-
-
-class Verdict:
-    """The possible outcomes of one monitored request."""
-
-    VALID = "valid"
-    #: Enforcing mode: pre-condition failed, request not forwarded.
-    PRE_BLOCKED = "pre-blocked"
-    #: Audit mode: pre-condition failed but the cloud accepted the request
-    #: (privilege escalation / missing check in the implementation).
-    PRE_VIOLATION = "pre-violation"
-    #: Pre-condition held but the cloud rejected the request
-    #: (privilege loss: an authorized user was denied).
-    REJECTED_VALID = "rejected-valid-request"
-    #: Pre held, response accepted, but the post-condition failed
-    #: (wrong effect or wrong status code).
-    POST_VIOLATION = "post-violation"
-    #: Audit mode: pre-condition failed and the cloud also rejected --
-    #: both sides agree the request is invalid.
-    INVALID_AGREED = "invalid-agreed"
-    #: The substrate was unreachable (retries exhausted / breaker open):
-    #: the monitor could not bind the state it needs, so it refuses to
-    #: guess -- neither valid nor invalid, and never a violation.
-    INDETERMINATE = "indeterminate"
-
-    VIOLATIONS = (PRE_VIOLATION, REJECTED_VALID, POST_VIOLATION)
-
-
-class MonitorVerdict:
-    """The full record of one monitored request (the traceability log row)."""
-
-    def __init__(self, trigger: Trigger, verdict: str,
-                 pre_holds: Optional[bool],
-                 forwarded: bool, response_status: Optional[int],
-                 post_holds: Optional[bool], message: str,
-                 security_requirements: List[str],
-                 snapshot_bytes: int = 0,
-                 correlation_id: Optional[str] = None,
-                 unbound_roots: Optional[Iterable[str]] = None):
-        self.trigger = trigger
-        self.verdict = verdict
-        self.pre_holds = pre_holds
-        self.forwarded = forwarded
-        self.response_status = response_status
-        self.post_holds = post_holds
-        self.message = message
-        self.security_requirements = security_requirements
-        self.snapshot_bytes = snapshot_bytes
-        #: Trace id of the request that produced this verdict; joins the
-        #: audit log with the tracer's span records.
-        self.correlation_id = correlation_id
-        #: Roots the provider could not bind because the transport gave up
-        #: (retries exhausted or breaker open); non-empty only on
-        #: :data:`Verdict.INDETERMINATE` verdicts.
-        self.unbound_roots: List[str] = sorted(unbound_roots or ())
-
-    @property
-    def violation(self) -> bool:
-        """True when the cloud implementation contradicted the contract."""
-        return self.verdict in Verdict.VIOLATIONS
-
-    @property
-    def indeterminate(self) -> bool:
-        """True when the substrate was unreachable and no call was made."""
-        return self.verdict == Verdict.INDETERMINATE
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form in the versioned wire schema.
-
-        Embedded in invalid responses, audit-log rows, and the JSON
-        exporter alike -- see :mod:`repro.core.verdict_schema`."""
-        return verdict_record(self)
-
-    def __repr__(self) -> str:
-        return f"<MonitorVerdict {self.trigger} {self.verdict}>"
-
-
-class CloudStateProvider:
-    """Binds the OCL roots by probing the cloud's REST surface.
-
-    The paper defines state invariants "as a boolean expression over the
-    addressable resources" (Section IV-B): a resource exists iff GET on its
-    URI returns 200.  Every probe uses the requesting user's token.
-    """
-
-    #: The OCL roots this provider can bind; probe plans are computed
-    #: against this set, so scenario-specific subclasses override it.
-    roots: Tuple[str, ...] = PROBE_ROOTS
-
-    #: GET cost of binding each root -- shared with the probe planner's
-    #: estimates and the skipped-probe accounting (see
-    #: :data:`repro.core.planning.PROBE_COSTS`).  Scenario subclasses
-    #: override alongside :attr:`roots`.
-    probe_costs: Dict[str, int] = PROBE_COSTS
-
-    #: Roots whose probes read the *item* addressed by the request URI;
-    #: their cache entries are keyed by the item id so two items never
-    #: share a binding.  Scenario subclasses override alongside
-    #: :attr:`roots`.
-    item_scoped_roots: Tuple[str, ...] = ("volume",)
-
-    #: Roots a forwarded POST/PUT/DELETE may dirty -- what the monitor
-    #: evicts from the probe cache after every mutation.  The Cinder
-    #: scenario's data-plane mutations cannot change a token's identity,
-    #: so ``user`` survives; subclasses whose mutations touch the
-    #: identity plane must include it.
-    mutation_dirty_roots: Tuple[str, ...] = ("project", "volume",
-                                             "quota_sets")
-
-    def __init__(self, network: Network, project_id: str,
-                 keystone_host: str = "keystone",
-                 cinder_host: str = "cinder",
-                 cache_identity: bool = False,
-                 observability: Optional[Observability] = None,
-                 transport=None):
-        self.network = network
-        self.project_id = project_id
-        self.keystone_host = keystone_host
-        self.cinder_host = cinder_host
-        #: Probe counter for the OVERHEAD bench.
-        self.probe_count = 0
-        #: Optional shared observability; the owning monitor attaches its
-        #: own when the provider was built without one.
-        self.observability = observability
-        #: What probes are sent through: the bare network by default, or a
-        #: :class:`~repro.core.resilience.ResilientTransport` layering
-        #: retries and circuit breaking over it.
-        self.transport = transport if transport is not None else network
-        #: Optional :class:`~repro.core.scheduler.ProbeScheduler`; when
-        #: set (the owning monitor installs one for ``fanout > 1``), each
-        #: probe phase issues its independent root probes concurrently.
-        self.scheduler: Optional[ProbeScheduler] = None
-        #: probe_count is read against per-request baselines, so its
-        #: read-modify-write must not tear under concurrent fan-out.
-        self._count_lock = threading.Lock()
-        #: Thread-local state (unbound roots of the *calling thread's*
-        #: last bindings call): concurrent requests through one provider
-        #: must not read each other's probe outcomes.
-        self._local = threading.local()
-        #: When enabled, token introspection results are cached per token:
-        #: a token's identity is immutable for its lifetime, so the probe
-        #: can be paid once instead of twice per monitored request.  Role
-        #: *assignments* may still change; call
-        #: :meth:`invalidate_identity_cache` after RBAC changes.
-        self.cache_identity = cache_identity
-        self._identity_cache: Dict[str, Dict[str, Any]] = {}
-        #: Optional cross-request :class:`~repro.core.probecache.ProbeCache`
-        #: (the owning monitor installs one when built with
-        #: ``probe_cache=True``): untouched roots are served from cache
-        #: instead of re-probing, and the monitor evicts the dirty roots
-        #: after every forwarded mutation.
-        self.probe_cache: Optional[ProbeCache] = None
-
-    @property
-    def unbound_roots(self) -> FrozenSet[str]:
-        """Roots the calling thread's last :meth:`bindings` call failed to
-        bind because the transport gave up on their probes; the monitor
-        reads this to decide between evaluating the contract and an
-        :data:`~repro.core.monitor.Verdict.INDETERMINATE` verdict.
-        Thread-local so concurrent requests keep separate outcomes."""
-        return getattr(self._local, "unbound_roots", frozenset())
-
-    @unbound_roots.setter
-    def unbound_roots(self, value: FrozenSet[str]) -> None:
-        self._local.unbound_roots = frozenset(value)
-
-    @property
-    def current_budget(self) -> Optional[DeadlineBudget]:
-        """The calling thread's per-request deadline budget (or ``None``).
-
-        The owning monitor installs it for the request's duration; probe
-        sends pass it to a budget-aware transport and probe phases
-        abandon their pending tasks once it is exhausted.  Thread-local
-        so concurrent requests never share (or cap) each other's budget.
-        """
-        return getattr(self._local, "budget", None)
-
-    @current_budget.setter
-    def current_budget(self, value: Optional[DeadlineBudget]) -> None:
-        self._local.budget = value
-
-    @property
-    def probe_mode(self) -> str:
-        """``"live"`` (default) or ``"cache"`` for the calling thread.
-
-        In ``"cache"`` mode (the degradation ladder's ``cached_only``
-        rung) a probe phase answers only from the cross-request
-        :attr:`probe_cache`; roots without a cached binding are reported
-        unbound instead of issuing live GETs.
-        """
-        return getattr(self._local, "probe_mode", "live")
-
-    @probe_mode.setter
-    def probe_mode(self, value: str) -> None:
-        self._local.probe_mode = value
-
-    def _get(self, token: str, url: str,
-             extra_headers: Optional[Dict[str, str]] = None,
-             cache=None) -> Response:
-        """Issue one probe GET; *cache* single-flights repeated URLs.
-
-        The cache lives for one :meth:`bindings` call (one probe phase):
-        two roots asking for the same URL with the same headers share a
-        single network round trip and a single ``probe_count`` tick.  It
-        is either a plain dict (serial probing) or a
-        :class:`~repro.core.scheduler.SingleFlight` (concurrent fan-out,
-        where two pool threads may race to the same URL).
-        """
-        key = (url, tuple(sorted((extra_headers or {}).items())))
-        do = getattr(cache, "do", None)
-        if do is not None:
-            return do(key,
-                      lambda: self._send_probe(token, url, extra_headers))
-        if cache is not None and key in cache:
-            return cache[key]
-        response = self._send_probe(token, url, extra_headers)
-        if cache is not None:
-            cache[key] = response
-        return response
-
-    def _send_probe(self, token: str, url: str,
-                    extra_headers: Optional[Dict[str, str]] = None,
-                    ) -> Response:
-        """The uncached probe send: count, GET, reject transport loss."""
-        headers = {"X-Auth-Token": token}
-        if extra_headers:
-            headers.update(extra_headers)
-        with self._count_lock:
-            self.probe_count += 1
-        if self.observability is not None:
-            self.observability.metrics.counter(
-                "monitor_probe_requests_total",
-                "GET probes issued to bind the OCL roots").inc()
-        probe = Request("GET", url, headers=headers)
-        budget = self.current_budget
-        if budget is not None and getattr(self.transport,
-                                          "supports_budget", False):
-            response = self.transport.send(probe, budget=budget)
-        else:
-            response = self.transport.send(probe)
-        reason = transport_failure(response)
-        if reason is not None:
-            # The transport layer gave up (retries exhausted / breaker
-            # open): this is NOT a cloud answer, so the binding must not
-            # degrade to "resource absent" -- it is unknowable.
-            raise ProbeFailure(f"probe {url} failed: {reason}")
-        return response
-
-    @staticmethod
-    def probe_body(response: Response) -> Optional[Dict[str, Any]]:
-        """The probe's JSON object, or ``None`` when unusable.
-
-        A 2xx response with a malformed or non-object body (a mangling
-        proxy, a half-written release) is treated like an unreachable
-        resource: the binding stays undefined instead of crashing the
-        monitor -- the addressable-state semantics degrade gracefully.
-        """
-        if not status.indicates_existence(response.status_code):
-            return None
-        try:
-            body = response.json()
-        except ValueError:
-            return None
-        return body if isinstance(body, dict) else None
-
-    def bindings(self, token: str,
-                 item_id: Optional[str] = None,
-                 roots: Optional[Iterable[str]] = None) -> Dict[str, Any]:
-        """Probe and return the OCL root bindings for one evaluation.
-
-        *item_id* is the id captured from the monitored item URI (for the
-        Cinder scenario, the volume id).  When *roots* is given (a
-        :class:`~repro.core.planning.ProbePlan` phase set), only the named
-        roots are probed and bound; every probe skipped this way is
-        counted in the ``monitor_probes_skipped_total`` metric at the
-        :attr:`probe_costs` rate.  Probes within one call share a
-        single-flight cache, so identical URLs cost one round trip.
-
-        The ``roots`` keyword is a mandatory part of this contract:
-        scenario subclasses must accept it (``None`` still means "bind
-        everything").  Roots whose probes die in the transport layer are
-        collected in :attr:`unbound_roots` instead of raising.
-        """
-        requested: FrozenSet[str] = (frozenset(self.roots) if roots is None
-                                     else frozenset(roots))
-        cache = self._new_phase_cache()
-        tasks: List[Tuple[str, Callable[[], Any]]] = []
-        skipped = 0
-
-        if "project" in requested:
-            tasks.append(("project",
-                          lambda: self._probe_project(token, cache)))
-        else:
-            skipped += self.probe_costs["project"]
-        if "quota_sets" in requested:
-            tasks.append(("quota_sets",
-                          lambda: self._probe_quota(token, cache)))
-        else:
-            skipped += self.probe_costs["quota_sets"]
-        if "volume" in requested:
-            tasks.append(("volume",
-                          lambda: self._probe_volume(token, item_id, cache)))
-        elif item_id is not None:
-            skipped += self.probe_costs["volume"]
-        if "user" in requested:
-            tasks.append(("user", lambda: self._identity(token, cache)))
-        elif not (self.cache_identity and token in self._identity_cache):
-            skipped += self.probe_costs["user"]
-
-        self._count_skipped(skipped)
-        return self._execute_probe_tasks(tasks, token=token, item_id=item_id)
-
-    def _new_phase_cache(self):
-        """The single-flight cache for one probe phase.
-
-        A plain dict serially, a :class:`~repro.core.scheduler.SingleFlight`
-        when a scheduler may race two pool threads to the same URL.
-        """
-        scheduler = self.scheduler
-        if scheduler is not None and scheduler.concurrent:
-            return SingleFlight()
-        return {}
-
-    def _execute_probe_tasks(
-            self, tasks: List[Tuple[str, Callable[[], Any]]],
-            token: Optional[str] = None,
-            item_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Run one phase's ``(root, probe)`` tasks and merge their results.
-
-        With a concurrent scheduler installed the probes overlap on the
-        pool; outcomes are merged **in task order**, so the returned
-        bindings dict (and :attr:`unbound_roots`) are byte-identical to
-        the serial loop.  A
-        :class:`~repro.core.resilience.ProbeFailure` means the transport
-        exhausted its retries (or the breaker is open): the root's value
-        is unknowable, which is different from "the resource does not
-        exist" -- so the root is recorded as unbound rather than bound to
-        an empty value the contract would happily mis-evaluate.
-
-        With a :attr:`probe_cache` installed (and *token* known), cached
-        roots are answered without probing -- no network send, no
-        ``probe_count`` tick -- and freshly probed bindings are stored
-        for the next request; failed probes are never cached.
-
-        Two overload seams gate the live probing itself: in
-        :attr:`probe_mode` ``"cache"`` every root the cache could not
-        serve is reported unbound without a single GET, and an exhausted
-        :attr:`current_budget` abandons the pending tasks of the phase
-        (serially task by task; concurrently at submission, see
-        :meth:`~repro.core.scheduler.ProbeScheduler.map`).
-        """
-        bindings: Dict[str, Any] = {}
-        unbound: set = set()
-        budget = self.current_budget
-        if self.probe_cache is not None and token is not None:
-            tasks = self._consult_probe_cache(tasks, bindings, token,
-                                              item_id)
-        if self.probe_mode == "cache":
-            # cached_only degradation: whatever the cache could not
-            # answer stays unbound -- live GETs are exactly what this
-            # mode exists to avoid.
-            unbound.update(root for root, _ in tasks)
-            tasks = []
-        scheduler = self.scheduler
-        if (scheduler is not None and scheduler.concurrent
-                and len(tasks) > 1):
-            thunks = [thunk for _, thunk in tasks]
-            if budget is not None:
-                # Pool threads have their own thread-locals: re-install
-                # the request's budget inside each worker so its probe
-                # sends stay capped.
-                thunks = [self._budgeted(thunk, budget) for thunk in thunks]
-            outcomes = scheduler.map(thunks, budget=budget)
-            for (root, _), outcome in zip(tasks, outcomes):
-                if outcome.ok:
-                    bindings[root] = outcome.value
-                else:
-                    unbound.add(root)
-        else:
-            for root, thunk in tasks:
-                if budget is not None and budget.exhausted():
-                    unbound.add(root)
-                    continue
-                try:
-                    bindings[root] = thunk()
-                except ProbeFailure:
-                    unbound.add(root)
-        self.unbound_roots = frozenset(unbound)
-        return bindings
-
-    def _budgeted(self, thunk: Callable[[], Any],
-                  budget: DeadlineBudget) -> Callable[[], Any]:
-        """Wrap *thunk* to carry *budget* into the worker thread."""
-        def run() -> Any:
-            previous = self.current_budget
-            self.current_budget = budget
-            try:
-                return thunk()
-            finally:
-                self.current_budget = previous
-
-        return run
-
-    def _consult_probe_cache(
-            self, tasks: List[Tuple[str, Callable[[], Any]]],
-            bindings: Dict[str, Any], token: str,
-            item_id: Optional[str]) -> List[Tuple[str, Callable[[], Any]]]:
-        """Serve cached roots into *bindings*; wrap the rest to cache.
-
-        Returns the remaining ``(root, probe)`` tasks, each wrapped so a
-        *successful* probe stores its binding under ``(root, resource
-        id, token)``.  Hits and misses tick the
-        ``monitor_probe_cache_{hits,misses}_total`` counters.
-        """
-        cache = self.probe_cache
-        remaining: List[Tuple[str, Callable[[], Any]]] = []
-        for root, thunk in tasks:
-            scoped_id = item_id if root in self.item_scoped_roots else None
-            hit, value = cache.get(root, scoped_id, token)
-            if hit:
-                bindings[root] = value
-                self._count_cache(
-                    "monitor_probe_cache_hits_total",
-                    "Probe bindings served from the cross-request cache")
-            else:
-                self._count_cache(
-                    "monitor_probe_cache_misses_total",
-                    "Probe lookups the cross-request cache could not serve")
-                remaining.append((root, self._caching_probe(
-                    cache, root, scoped_id, token, thunk)))
-        return remaining
-
-    @staticmethod
-    def _caching_probe(cache: ProbeCache, root: str,
-                       scoped_id: Optional[str], token: str,
-                       thunk: Callable[[], Any]) -> Callable[[], Any]:
-        """Wrap *thunk* so its successful result enters the cache.
-
-        A :class:`~repro.core.resilience.ProbeFailure` propagates without
-        caching -- an unreachable substrate is not an observation.
-        """
-        def probe_and_store() -> Any:
-            value = thunk()
-            cache.put(root, scoped_id, token, value)
-            return value
-
-        return probe_and_store
-
-    def _count_cache(self, name: str, help_text: str) -> None:
-        if self.observability is not None:
-            self.observability.metrics.counter(name, help_text).inc()
-
-    def _count_skipped(self, skipped: int) -> None:
-        """Record probes a plan avoided (subclass ``bindings`` reuse this)."""
-        if skipped and self.observability is not None:
-            self.observability.metrics.counter(
-                "monitor_probes_skipped_total",
-                "GET probes the demand-driven plan proved unnecessary").inc(
-                    skipped)
-
-    # -- per-root probes ---------------------------------------------------------
-
-    def _probe_project(self, token: str,
-                       cache: Optional[Dict[tuple, Response]] = None,
-                       ) -> Dict[str, Any]:
-        project: Dict[str, Any] = {}
-        response = self._get(
-            token,
-            f"http://{self.keystone_host}/v3/projects/{self.project_id}",
-            cache=cache)
-        if self.probe_body(response) is not None:
-            project["id"] = self.project_id
-        volumes_body = self.probe_body(self._get(
-            token,
-            f"http://{self.cinder_host}/v3/{self.project_id}/volumes",
-            cache=cache))
-        if volumes_body is not None:
-            project["volumes"] = volumes_body.get("volumes", [])
-        return project
-
-    def _probe_quota(self, token: str,
-                     cache: Optional[Dict[tuple, Response]] = None) -> Any:
-        quota: Any = UNDEFINED
-        quota_body = self.probe_body(self._get(
-            token,
-            f"http://{self.cinder_host}/v3/{self.project_id}/quota_sets",
-            cache=cache))
-        if quota_body is not None:
-            quota = quota_body.get("quota_set", {})
-        return quota
-
-    def _probe_volume(self, token: str, volume_id: Optional[str],
-                      cache: Optional[Dict[tuple, Response]] = None,
-                      ) -> Dict[str, Any]:
-        volume: Dict[str, Any] = {}
-        if volume_id is None:
-            return volume
-        item_body = self.probe_body(self._get(
-            token,
-            f"http://{self.cinder_host}/v3/{self.project_id}"
-            f"/volumes/{volume_id}", cache=cache))
-        if item_body is not None:
-            volume = dict(item_body.get("volume", {}))
-            # Release-2 clouds expose snapshots; on older releases the
-            # probe 404s and the binding stays undefined (size 0).
-            snaps_body = self.probe_body(self._get(
-                token,
-                f"http://{self.cinder_host}/v3/{self.project_id}"
-                f"/snapshots?volume_id={volume_id}", cache=cache))
-            if snaps_body is not None:
-                volume["snapshots"] = snaps_body.get("snapshots", [])
-        return volume
-
-    def _identity(self, token: str,
-                  cache: Optional[Dict[tuple, Response]] = None,
-                  ) -> Dict[str, Any]:
-        """Resolve the requesting user via token introspection (cachable).
-
-        Cached entries are deep-copied on store *and* on read: the
-        ``roles`` / ``groups`` lists reach OCL evaluation (and callers
-        beyond our control), and a shared list would let one caller's
-        mutation poison every later request with the same token.
-        """
-        if self.cache_identity and token in self._identity_cache:
-            if self.observability is not None:
-                self.observability.metrics.counter(
-                    "monitor_identity_cache_hits_total",
-                    "Token introspections answered from the cache").inc()
-            return copy.deepcopy(self._identity_cache[token])
-        if self.cache_identity and self.observability is not None:
-            self.observability.metrics.counter(
-                "monitor_identity_cache_misses_total",
-                "Token introspections that had to probe Keystone").inc()
-        user: Dict[str, Any] = {}
-        whoami_body = self.probe_body(self._get(
-            token, f"http://{self.keystone_host}/v3/auth/tokens",
-            extra_headers={"X-Subject-Token": token}, cache=cache))
-        if whoami_body is not None:
-            info = whoami_body.get("token", {})
-            user = {
-                "id": info.get("user", {}).get("id"),
-                "roles": [r["name"] for r in info.get("roles", [])],
-                "groups": [g["name"] for g in info.get("groups", [])],
-            }
-            if self.cache_identity:
-                self._identity_cache[token] = copy.deepcopy(user)
-        return user
-
-    def invalidate_identity_cache(self) -> None:
-        """Drop cached identities (after role-assignment changes)."""
-        self._identity_cache.clear()
-
-    def context(self, token: str,
-                item_id: Optional[str] = None,
-                roots: Optional[Iterable[str]] = None) -> Context:
-        """A lenient OCL context over freshly probed state.
-
-        *roots* restricts probing to one plan phase's bindings; the
-        context stays lenient, so a planned-away root resolves to
-        undefined -- which the plan guarantees no expression will ask for.
-        """
-        return Context(self.bindings(token, item_id, roots=roots),
-                       strict=False)
 
 
 #: Route captures in a monitor path template: ``<str:volume_id>`` -> name.
@@ -729,7 +168,6 @@ class CloudMonitor:
                  operations: Iterable[MonitoredOperation],
                  enforcing: Optional[bool] = None,
                  coverage: Optional[CoverageTracker] = None,
-                 mirror: Optional["MirrorDatabase"] = None,
                  observability: Optional[Observability] = None,
                  probe_planning: Optional[bool] = None,
                  transport=None,
@@ -769,9 +207,6 @@ class CloudMonitor:
                                 if isinstance(probe_cache, ProbeCache)
                                 else ProbeCache())
             self.provider.probe_cache = self.probe_cache
-        #: Optional local copy of the monitored resources (the runtime
-        #: analogue of the generated models.py tables).
-        self.mirror = mirror
         #: Metrics + tracer + clock shared with the provider, the network,
         #: and the contracts; pass a ManualClock-backed Observability for
         #: deterministic timings.
@@ -989,7 +424,7 @@ class CloudMonitor:
         """The retained wide events, filterable by query parameters.
 
         ``?event=``, ``?trace_id=``, and ``?verdict=`` filter; ``?limit=``
-        keeps only the most recent N matches.
+        keeps only the most recent N matches (a negative N is a 400).
         """
         criteria: Dict[str, Any] = {}
         for key in ("event", "trace_id", "verdict"):
@@ -1003,6 +438,10 @@ class CloudMonitor:
             except ValueError:
                 return Response.json_response(
                     {"error": f"limit must be an integer, got {limit!r}"},
+                    400)
+            if criteria["limit"] < 0:
+                return Response.json_response(
+                    {"error": f"limit must be non-negative, got {limit!r}"},
                     400)
         return Response.json_response({
             "retained": len(self.obs.events),
@@ -1087,11 +526,7 @@ class CloudMonitor:
                 metrics.total("monitor_probe_cache_hits_total"),
         }
         with self.obs.events.correlate(trace.trace_id):
-            admitted = self._admit(request)
-            if admitted is None:
-                return self._run_workflow(operation, request, token,
-                                          contract, item_id, plan, trace)
-            mode, budget, slot_held, mode_reason = admitted
+            mode, budget, slot_held, mode_reason = self._admit(request)
             self._request_mode.value = mode
             self.provider.current_budget = budget
             if mode == "cached_only":
@@ -1111,12 +546,12 @@ class CloudMonitor:
     def _admit(self, request: Request):
         """The overload gate in front of the Figure-2 workflow.
 
-        Returns ``None`` when every overload control is off (the default
-        -- the caller then runs the untouched workflow with no extra
-        clock reads), else ``(mode, budget, slot_held, reason)``: the
-        degradation mode to serve this request under, its deadline
-        budget, whether an admission slot must be released afterwards,
-        and a human-readable reason for any non-``full`` mode.
+        Returns ``(mode, budget, slot_held, reason)``: the degradation
+        mode to serve this request under, its deadline budget, whether an
+        admission slot must be released afterwards, and a human-readable
+        reason for any non-``full`` mode.  With every overload control
+        off (the default) that is ``("full", None, False, None)``, decided
+        without a clock read.
 
         One clock reading covers the admission decision, the ladder
         update, and the budget start; the request's scheduled arrival
@@ -1126,7 +561,7 @@ class CloudMonitor:
         """
         if (self.deadline is None and self.admission is None
                 and self.ladder is None):
-            return None
+            return "full", None, False, None
         clock = self.obs.clock
         now = clock()
         arrival = parse_arrival(request)
@@ -1184,255 +619,142 @@ class CloudMonitor:
     def _run_workflow(self, operation: MonitoredOperation, request: Request,
                       token: str, contract: MethodContract,
                       item_id: Optional[str], plan: Optional[ProbePlan],
-                      trace, mode: str = "full",
-                      budget: Optional[DeadlineBudget] = None,
-                      mode_reason: Optional[str] = None,
+                      trace, mode: str, budget: Optional[DeadlineBudget],
+                      mode_reason: Optional[str],
                       ) -> Tuple[Response, MonitorVerdict]:
         """Stages (1)-(6) of Figure 2 (see :meth:`monitor_request`).
 
-        *mode* / *budget* are the overload controls' per-request verdicts
-        (see :meth:`_admit`): ``audit_only`` short-circuits to a
-        pass-through forward, ``cached_only`` answers probes from the
-        probe cache (falling back to a degraded forward when the cache
-        cannot serve the pre-state), and an exhausted *budget* turns a
-        pre-state probe abandonment into a degraded forward with a
-        ``deadline_exceeded`` reason instead of blocking the request.
+        Each stage records what it observed in a
+        :class:`~repro.core.verdicts.Facts` record and asks
+        :func:`~repro.core.verdicts.decide` whether the verdict is
+        settled; the first settled outcome ends the run.  *mode* /
+        *budget* are the overload controls' per-request verdicts (see
+        :meth:`_admit`): ``audit_only`` settles before any probe,
+        ``cached_only`` answers probes from the probe cache, and an
+        exhausted *budget* turns unbound roots into a degraded forward
+        (pre phase) or a ``deadline_exceeded`` reason (post phase).
         """
-        if mode == "audit_only":
-            return self._degraded_forward(
-                operation, request, trace, mode,
-                mode_reason or "degraded to audit_only",
-                contract.security_requirements, budget=budget)
-        # (1)-(2) probe pre-state and check the pre-condition.  The pre
-        # round also binds the snapshot roots: the pre-probe context is
-        # reused by the snapshot phase below.
-        with trace.span("pre_probe"):
-            if plan is not None and not plan.pre_phase_roots:
-                # The (optimized) contract reads no pre-state at all --
-                # constant pre-condition and no snapshot roots -- so the
-                # phase skips the provider round-trip entirely instead of
-                # asking it to bind an empty set.
-                pre_context = Context({}, strict=False)
-                unbound: FrozenSet[str] = frozenset()
-            else:
-                pre_context = self.provider.context(
-                    token, item_id,
-                    roots=plan.pre_phase_roots if plan is not None else None)
-                unbound = self.provider.unbound_roots
-        if unbound:
-            if mode == "cached_only":
-                # The ladder already decided live probing is off; a
-                # cache miss degrades one rung further for this request
-                # rather than refusing it.
-                return self._degraded_forward(
-                    operation, request, trace, mode,
-                    "pre-state not in probe cache: "
-                    + ", ".join(sorted(unbound)),
-                    contract.security_requirements, unbound=unbound,
-                    budget=budget)
-            if budget is not None and budget.exhausted():
-                # The probes were abandoned (or died) because the
-                # deadline ran out, not because the substrate is sick:
-                # forward rather than block, per the deadline contract.
-                return self._degraded_forward(
-                    operation, request, trace, mode,
-                    "deadline_exceeded: could not bind "
-                    + ", ".join(sorted(unbound)),
-                    contract.security_requirements, unbound=unbound,
-                    budget=budget)
-            # The transport gave up on at least one probe: the pre-state
-            # is unobservable, so neither blocking nor forwarding can be
-            # justified.  Even in audit mode the request is NOT forwarded
-            # -- a write whose outcome could never be checked would
-            # corrupt the validation log.
-            verdict = self._finish(MonitorVerdict(
-                operation.trigger, Verdict.INDETERMINATE, None, False,
-                None, None,
-                "pre-state unobservable: transport could not bind "
-                + ", ".join(sorted(unbound)),
-                contract.security_requirements,
-                unbound_roots=unbound), trace)
-            return self._invalid_response(503, verdict), verdict
-        with trace.span("pre_eval"):
-            pre_holds = contract.check_pre(pre_context)
-            applicable = contract.applicable_cases(pre_context)
-        requirements = self._requirements(contract, applicable)
+        facts = Facts(self.enforcing, mode, operation.expected_codes,
+                      mode_reason)
+        requirements = contract.security_requirements
+        snapshot = cloud_response = None
+        outcome = decide(facts)
+        if outcome is None:
+            # (1) probe the pre-state.  The pre round also binds the
+            # snapshot roots: its context is reused by the snapshot.
+            with trace.span("pre_probe"):
+                if plan is not None and not plan.pre_phase_roots:
+                    # The (optimized) contract reads no pre-state at all
+                    # -- constant pre-condition and no snapshot roots --
+                    # so the phase skips the provider round-trip.
+                    pre_context = Context({}, strict=False)
+                    facts.pre_unbound = frozenset()
+                else:
+                    pre_context = self.provider.context(
+                        token, item_id, roots=(plan.pre_phase_roots
+                                               if plan is not None else None))
+                    facts.pre_unbound = self.provider.unbound_roots
+            self._observe_deadline(facts, facts.pre_unbound, budget)
+            outcome = decide(facts)
+        if outcome is None:
+            # (2) check the pre-condition.
+            with trace.span("pre_eval"):
+                facts.pre_holds = contract.check_pre(pre_context)
+                applicable = contract.applicable_cases(pre_context)
+            requirements = self._requirements(contract, applicable)
+            outcome = decide(facts)
+        if outcome is None:
+            # (3) snapshot the old values the post-condition references,
+            # (4) forward to the private cloud.
+            with trace.span("snapshot"):
+                snapshot = contract.snapshot(pre_context)
+            cloud_response = self._forward(operation, request, trace, budget)
+            facts.transport_failure = transport_failure(cloud_response)
+            facts.cloud_status = cloud_response.status_code
+            outcome = decide(facts)
+        if outcome is None:
+            # (5) re-probe and check the post-condition.
+            with trace.span("post_probe"):
+                post_context = self.provider.context(
+                    token, item_id, roots=(plan.post_phase_roots
+                                           if plan is not None else None))
+            facts.post_unbound = self.provider.unbound_roots
+            self._observe_deadline(facts, facts.post_unbound, budget)
+            outcome = decide(facts)
+        if outcome is None:
+            with trace.span("post_eval"):
+                facts.post_holds = contract.check_post(post_context,
+                                                       snapshot)
+            outcome = decide(facts)
+        if outcome.degraded:
+            # Served without contract evaluation: forwarded unchecked,
+            # the cloud's answer passes through untouched.
+            cloud_response = self._forward(operation, request, trace, budget)
+            facts.cloud_status = cloud_response.status_code
 
-        if not pre_holds and self.enforcing:
-            verdict = self._finish(
-                MonitorVerdict(
-                    operation.trigger, Verdict.PRE_BLOCKED, False, False,
-                    None, None,
-                    "pre-condition failed; request not forwarded",
-                    requirements),
-                trace)
-            return self._invalid_response(412, verdict), verdict
-
-        # (3) snapshot the old values the post-condition references.
-        with trace.span("snapshot"):
-            snapshot = contract.snapshot(pre_context)
-
-        # (4) forward to the private cloud, query string included: the
-        # template fills the path, the incoming params ride along (a
-        # template carrying its own query keeps both, incoming wins).
-        forward_request = self._forward_request(operation, request)
-        with trace.span("forward") as forward_span:
-            cloud_response = self._send_forward(forward_request, budget)
-            forward_span.tags["status"] = cloud_response.status_code
-        if request.method != "GET":
-            # The forwarded mutation may have changed cloud state; evict
-            # the roots it can dirty *before* any post-phase probe (or
-            # any later request) could be served stale pre-state.  Even a
-            # transport-failed forward may have reached the application
-            # (a mangled response still executed), so eviction does not
-            # wait for a clean answer.
-            self._invalidate_probe_cache()
-        reason = transport_failure(cloud_response)
-        if reason is not None:
-            # The 503 in hand is the transport's own (retries exhausted or
-            # breaker open), not the cloud's answer: the request may or
-            # may not have taken effect, so any valid/invalid verdict
-            # would be a guess.
-            verdict = self._finish(MonitorVerdict(
-                operation.trigger, Verdict.INDETERMINATE, pre_holds, False,
-                None, None,
-                f"forward failed in the transport layer ({reason}); "
-                "outcome unknowable",
-                requirements, snapshot_bytes=snapshot.storage_bytes),
-                trace)
-            return self._invalid_response(503, verdict), verdict
-        accepted = cloud_response.status_code in operation.expected_codes
-        succeeded = status.is_success(cloud_response.status_code)
-
-        # (5) check the outcome against the contract.
-        if not pre_holds:
-            if succeeded:
-                verdict = self._finish(MonitorVerdict(
-                    operation.trigger, Verdict.PRE_VIOLATION, False, True,
-                    cloud_response.status_code, None,
-                    "cloud accepted a request whose pre-condition is false "
-                    "(privilege escalation or missing check)",
-                    requirements), trace)
-                return self._invalid_response(502, verdict), verdict
-            verdict = self._finish(MonitorVerdict(
-                operation.trigger, Verdict.INVALID_AGREED, False, True,
-                cloud_response.status_code, None,
-                "pre-condition false and cloud rejected the request",
-                requirements), trace)
-            return cloud_response, verdict
-
-        if not succeeded:
-            verdict = self._finish(MonitorVerdict(
-                operation.trigger, Verdict.REJECTED_VALID, True, True,
-                cloud_response.status_code, None,
-                "cloud rejected a request whose pre-condition holds "
-                "(authorized user denied or wrong functional check)",
-                requirements), trace)
-            return self._invalid_response(502, verdict), verdict
-
-        with trace.span("post_probe"):
-            post_context = self.provider.context(
-                token, item_id,
-                roots=plan.post_phase_roots if plan is not None else None)
-        unbound = self.provider.unbound_roots
-        if unbound:
-            why = "post-state unobservable"
-            if mode == "cached_only":
-                why = "post-state not in probe cache"
-            elif budget is not None and budget.exhausted():
-                why = "post-state unobservable (deadline_exceeded)"
-            verdict = self._finish(MonitorVerdict(
-                operation.trigger, Verdict.INDETERMINATE, True, True,
-                cloud_response.status_code, None,
-                f"{why}: transport could not bind "
-                + ", ".join(sorted(unbound)),
-                requirements, snapshot_bytes=snapshot.storage_bytes,
-                unbound_roots=unbound), trace)
-            return self._invalid_response(503, verdict), verdict
-        with trace.span("post_eval"):
-            post_holds = contract.check_post(post_context, snapshot)
-        if not accepted:
-            verdict = self._finish(MonitorVerdict(
-                operation.trigger, Verdict.POST_VIOLATION, True, True,
-                cloud_response.status_code, post_holds,
-                f"unexpected status code {cloud_response.status_code}; "
-                f"expected one of {operation.expected_codes}",
-                requirements, snapshot_bytes=snapshot.storage_bytes), trace)
-            return self._invalid_response(502, verdict), verdict
-        if not post_holds:
-            verdict = self._finish(MonitorVerdict(
-                operation.trigger, Verdict.POST_VIOLATION, True, True,
-                cloud_response.status_code, False,
-                "post-condition failed after a successful request",
-                requirements, snapshot_bytes=snapshot.storage_bytes), trace)
-            return self._invalid_response(502, verdict), verdict
-
+        # (6) the one verdict.  snapshot_bytes is recorded only after a
+        # failed forward or a post phase: pre-violation, invalid-agreed
+        # and rejected-valid verdicts carry 0, as the digest gates pin.
+        post_ran = facts.post_unbound is not None
+        forwarded = (facts.cloud_status is not None
+                     and facts.transport_failure is None)
         verdict = self._finish(MonitorVerdict(
-            operation.trigger, Verdict.VALID, True, True,
-            cloud_response.status_code, True,
-            "pre- and post-conditions hold",
-            requirements, snapshot_bytes=snapshot.storage_bytes), trace)
-        if self.mirror is not None:
-            try:
-                body = cloud_response.json()
-            except ValueError:
-                body = None
-            self.mirror.observe(operation.trigger, body, item_id=item_id)
-        return cloud_response, verdict
-
-    # -- degraded service --------------------------------------------------------
+            operation.trigger, outcome.verdict, facts.pre_holds, forwarded,
+            facts.cloud_status if forwarded else None, facts.post_holds,
+            outcome.message, list(requirements),
+            snapshot_bytes=(snapshot.storage_bytes
+                            if post_ran or facts.transport_failure is not None
+                            else 0),
+            unbound_roots=(facts.post_unbound if post_ran
+                           else facts.pre_unbound)), trace)
+        if outcome.code is None:
+            return cloud_response, verdict
+        return self._invalid_response(outcome.code, verdict), verdict
 
     @staticmethod
-    def _forward_request(operation: MonitoredOperation,
-                         request: Request) -> Request:
-        """The cloud-side request for *request*, query string included:
-        the template fills the path, the incoming params ride along (a
-        template carrying its own query keeps both, incoming wins).  The
-        monitor-internal arrival stamp never leaks to the cloud."""
-        forwarded_url = operation.cloud_url(request.path_args)
-        forward_request = Request(request.method, forwarded_url,
+    def _observe_deadline(facts: Facts, unbound,
+                          budget: Optional[DeadlineBudget]) -> None:
+        """Record whether the deadline ran out, exactly when it matters:
+        a probe phase left roots unbound outside ``cached_only`` mode.
+
+        Reading the budget is a clock read, so it happens nowhere else --
+        a deterministic clock advances on every read."""
+        if unbound and facts.mode != "cached_only":
+            facts.deadline_exceeded = (budget is not None
+                                       and budget.exhausted())
+
+    def _forward(self, operation: MonitoredOperation, request: Request,
+                 trace, budget: Optional[DeadlineBudget]) -> Response:
+        """Send *request* on to the cloud: one span, one send, one eviction.
+
+        The forward carries the query string: the template fills the
+        path, the incoming params ride along (a template carrying its own
+        query keeps both, incoming wins); the monitor-internal arrival
+        stamp never leaks to the cloud.  The send is deadline-capped when
+        the transport can be.  After a POST/PUT/DELETE the roots it can
+        dirty are evicted from the probe cache *before* any post-phase
+        probe (or later request) could be served stale state -- even
+        when the transport failed, since a mangled response may still
+        have executed.
+        """
+        forward_request = Request(request.method,
+                                  operation.cloud_url(request.path_args),
                                   body=request.body)
         forward_request.headers = request.headers.copy()
         if forward_request.headers.get(ARRIVAL_HEADER) is not None:
             forward_request.headers.remove(ARRIVAL_HEADER)
         forward_request.params.update(request.params)
-        return forward_request
-
-    def _send_forward(self, forward_request: Request,
-                      budget: Optional[DeadlineBudget]) -> Response:
-        """One forward send, deadline-capped when the transport can."""
-        if budget is not None and getattr(self.transport,
-                                          "supports_budget", False):
-            return self.transport.send(forward_request, budget=budget)
-        return self.transport.send(forward_request)
-
-    def _degraded_forward(self, operation: MonitoredOperation,
-                          request: Request, trace, mode: str, reason: str,
-                          requirements: List[str],
-                          unbound: Iterable[str] = (),
-                          budget: Optional[DeadlineBudget] = None,
-                          ) -> Tuple[Response, MonitorVerdict]:
-        """Serve one request without contract evaluation.
-
-        The degraded tail of the ladder: the request is forwarded and
-        audit-logged (the cloud's answer passes through untouched), but
-        the verdict is :data:`Verdict.INDETERMINATE` -- the monitor
-        refuses to claim valid/invalid for state it never checked.
-        Probe-cache invalidation still runs after mutations: a degraded
-        write must not leave stale bindings behind for the recovery.
-        """
-        forward_request = self._forward_request(operation, request)
         with trace.span("forward") as forward_span:
-            cloud_response = self._send_forward(forward_request, budget)
+            if budget is not None and getattr(self.transport,
+                                              "supports_budget", False):
+                cloud_response = self.transport.send(forward_request,
+                                                     budget=budget)
+            else:
+                cloud_response = self.transport.send(forward_request)
             forward_span.tags["status"] = cloud_response.status_code
         if request.method != "GET":
             self._invalidate_probe_cache()
-        verdict = self._finish(MonitorVerdict(
-            operation.trigger, Verdict.INDETERMINATE, None, True,
-            cloud_response.status_code, None,
-            f"degraded ({mode}): {reason}; contract not evaluated",
-            list(requirements), unbound_roots=unbound), trace)
-        return cloud_response, verdict
+        return cloud_response
 
     # -- bookkeeping ----------------------------------------------------------------
 

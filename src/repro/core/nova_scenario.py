@@ -13,15 +13,16 @@ in :mod:`repro.core` is Cinder-specific.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
-from ..httpsim import Network, status
+from ..httpsim import Network
 from ..rbac import SecurityRequirement, SecurityRequirementsTable
 from ..uml import ClassDiagram, StateMachine
 from .behavior_model import BehaviorModelBuilder
 from .contracts import ContractGenerator
 from .coverage import CoverageTracker
-from .monitor import CloudMonitor, CloudStateProvider, operations_from_models
+from .monitor import CloudMonitor, operations_from_models
+from .provider import CloudStateProvider
 from .resource_model import ResourceModelBuilder
 
 # State names of the server scenario.
@@ -99,6 +100,11 @@ class NovaStateProvider(CloudStateProvider):
     item_scoped_roots = ("server",)
     # Nova's data-plane mutations (server CRUD) cannot change identity.
     mutation_dirty_roots = ("project", "server")
+    probes = (
+        ("project", "_probe_nova_project"),
+        ("server", "_probe_server"),
+        ("user", "_identity"),
+    )
 
     def __init__(self, network: Network, project_id: str,
                  keystone_host: str = "keystone",
@@ -108,36 +114,8 @@ class NovaStateProvider(CloudStateProvider):
                          transport=transport)
         self.nova_host = nova_host
 
-    def bindings(self, token: str,
-                 item_id: Optional[str] = None,
-                 roots: Optional[Iterable[str]] = None) -> Dict[str, Any]:
-        requested = (frozenset(self.roots) if roots is None
-                     else frozenset(roots))
-        cache = self._new_phase_cache()
-        tasks = []
-        skipped = 0
-
-        if "project" in requested:
-            tasks.append(("project",
-                          lambda: self._probe_nova_project(token, cache)))
-        else:
-            skipped += self.probe_costs["project"]
-        if "server" in requested:
-            tasks.append(("server",
-                          lambda: self._probe_server(token, item_id, cache)))
-        elif item_id is not None:
-            skipped += self.probe_costs["server"]
-        if "user" in requested:
-            tasks.append(("user", lambda: self._identity(token, cache)))
-        elif not (self.cache_identity and token in self._identity_cache):
-            skipped += self.probe_costs["user"]
-
-        self._count_skipped(skipped)
-        return self._execute_probe_tasks(tasks, token=token, item_id=item_id)
-
-    def _probe_nova_project(self, token: str,
-                            cache: Optional[Dict[tuple, Any]] = None,
-                            ) -> Dict[str, Any]:
+    def _probe_nova_project(self, token: str, item_id: Optional[str],
+                            cache) -> Dict[str, Any]:
         project: Dict[str, Any] = {}
         response = self._get(
             token,
@@ -153,18 +131,13 @@ class NovaStateProvider(CloudStateProvider):
             project["servers"] = servers_body.get("servers", [])
         return project
 
-    def _probe_server(self, token: str, item_id: Optional[str],
-                      cache: Optional[Dict[tuple, Any]] = None,
-                      ) -> Dict[str, Any]:
-        server: Dict[str, Any] = {}
-        if item_id is not None:
-            item_body = self.probe_body(self._get(
-                token,
-                f"http://{self.nova_host}/v3/{self.project_id}"
-                f"/servers/{item_id}", cache=cache))
-            if item_body is not None:
-                server = item_body.get("server", {})
-        return server
+    def _probe_server(self, token: str, item_id: str,
+                      cache) -> Dict[str, Any]:
+        item_body = self.probe_body(self._get(
+            token,
+            f"http://{self.nova_host}/v3/{self.project_id}"
+            f"/servers/{item_id}", cache=cache))
+        return item_body.get("server", {}) if item_body is not None else {}
 
 
 def monitor_for_nova(network: Network, project_id: str,

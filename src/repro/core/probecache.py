@@ -23,9 +23,9 @@ Design points, in decreasing order of how much they matter:
   ids for those roots, because a mutation by one user changes what every
   user observes.
 * **Copy-on-store and copy-on-read.**  Bindings are mutable dicts/lists
-  that reach OCL evaluation and callers beyond our control; like the
-  identity cache, a shared structure would let one request's mutation
-  poison every later hit.
+  that reach OCL evaluation and callers beyond our control (the
+  ``user`` binding's ``roles`` list among them); a shared structure
+  would let one request's mutation poison every later hit.
 * **Failures are never cached.**  A ``ProbeFailure`` (transport gave up)
   is not an observation of cloud state; only successful bindings enter
   the cache.

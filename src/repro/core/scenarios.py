@@ -24,8 +24,8 @@ from ..obs import Observability
 from ..uml import ClassDiagram, StateMachine
 from .contracts import ContractGenerator
 from .coverage import CoverageTracker
-from .mirror import MirrorDatabase
-from .monitor import CloudMonitor, CloudStateProvider, operations_from_models
+from .monitor import CloudMonitor, operations_from_models
+from .provider import CloudStateProvider
 
 #: A scenario builder: assembles a ready monitor for one service.
 ScenarioBuilder = Callable[..., CloudMonitor]
@@ -74,7 +74,6 @@ def _build_cinder(network: Network, project_id: str,
                   enforcing: Optional[bool] = None,
                   coverage: Optional[CoverageTracker] = None,
                   cinder_host: str = "cinder",
-                  with_mirror: bool = False,
                   compiled: bool = False,
                   observability: Optional[Observability] = None,
                   probe_planning: Optional[bool] = None,
@@ -105,10 +104,9 @@ def _build_cinder(network: Network, project_id: str,
                                   cinder_host=cinder_host)
     if coverage is None:
         coverage = CoverageTracker(machine.security_requirement_ids())
-    mirror = MirrorDatabase(diagram) if with_mirror else None
     return CloudMonitor(contracts, provider, operations,
                         enforcing=enforcing, coverage=coverage,
-                        mirror=mirror, observability=observability,
+                        observability=observability,
                         probe_planning=probe_planning,
                         transport=transport, fanout=fanout,
                         probe_cache=probe_cache, options=options)

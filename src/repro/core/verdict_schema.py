@@ -62,7 +62,7 @@ def verdict_from_record(record: Dict[str, Any]):
     :class:`~repro.errors.MonitorError` on malformed input.
     """
     from ..uml import Trigger
-    from .monitor import MonitorVerdict
+    from .verdicts import MonitorVerdict
 
     try:
         version = record.get("schema_version", 1)

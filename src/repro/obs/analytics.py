@@ -34,7 +34,7 @@ def _round9(value: float) -> float:
 
 def _traces(source: Union[Tracer, Iterable[Trace]]) -> List[Trace]:
     if isinstance(source, Tracer):
-        return list(source.finished)
+        return source.retained()
     return list(source)
 
 

@@ -155,18 +155,30 @@ class EventLog:
         """Retained events matching every given criterion, oldest first.
 
         *limit* keeps only the most recent matches (still oldest-first),
-        which is what a "show me the last N" CLI wants.
+        which is what a "show me the last N" CLI wants; a limit above
+        the match count keeps every match, a negative one is an error.
         """
+        if limit is not None and limit < 0:
+            raise EventError(f"limit must be non-negative, got {limit}")
         criteria = dict(fields)
         if event is not None:
             criteria["event"] = event
         if trace_id is not None:
             criteria["trace_id"] = trace_id
-        matched = [record for record in self.events
+        matched = [record for record in self.retained()
                    if record.matches(**criteria)]
-        if limit is not None and limit >= 0:
-            matched = matched[len(matched) - limit:] if limit else []
+        if limit is not None:
+            matched = matched[-limit:] if limit else []
         return matched
+
+    def retained(self) -> List[WideEvent]:
+        """The retained events, oldest first, copied under the lock.
+
+        Emitters on other threads append concurrently; iterating the
+        live ring would raise ``deque mutated during iteration``.
+        """
+        with self._lock:
+            return list(self.events)
 
     def to_dicts(self, **criteria: Any) -> List[Dict[str, Any]]:
         """Matching events as JSON-ready dicts, oldest first."""
@@ -198,7 +210,7 @@ class EventLog:
         return len(self.events)
 
     def __iter__(self) -> Iterator[WideEvent]:
-        return iter(self.events)
+        return iter(self.retained())
 
     def __repr__(self) -> str:
         return (f"<EventLog retained={len(self.events)} "

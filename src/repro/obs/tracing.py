@@ -210,9 +210,17 @@ class Tracer:
         """The retained finished trace with *trace_id*, or ``None``."""
         return self._by_id.get(trace_id)
 
+    def retained(self) -> List[Trace]:
+        """The finished ring, oldest first, copied under the lock.
+
+        Other threads may be finishing traces while this one reads.
+        """
+        with self._lock:
+            return list(self.finished)
+
     def to_dicts(self) -> List[Dict[str, Any]]:
         """Every retained finished trace, JSON-ready, oldest first."""
-        return [trace.to_dict() for trace in self.finished]
+        return [trace.to_dict() for trace in self.retained()]
 
     def __repr__(self) -> str:
         return (f"<Tracer finished={len(self.finished)} "

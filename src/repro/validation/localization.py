@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..core.monitor import MonitorVerdict, Verdict
+from ..core.verdicts import MonitorVerdict, Verdict
 
 #: verdict class -> (fault family, hint template).
 _DIAGNOSES = {

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.coverage import CoverageTracker
-from ..core.monitor import CloudMonitor, MonitorVerdict
+from ..core.monitor import CloudMonitor
+from ..core.verdicts import MonitorVerdict
 from .campaign import CampaignResult
 from .localization import localize, render_report
 

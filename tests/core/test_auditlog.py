@@ -1,4 +1,4 @@
-"""Tests for audit-log persistence and the cached-identity provider."""
+"""Tests for audit-log persistence and cached identity bindings."""
 
 import io
 import json
@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cloud import PrivateCloud, paper_mutants
-from repro.core import CloudMonitor, read_log, write_log
+from repro.core import ProbeCache, read_log, write_log
 from repro.core.auditlog import verdict_from_json, verdict_to_json
 from repro.core.monitor import CloudStateProvider, MonitorVerdict
 from repro.uml import Trigger
@@ -131,58 +131,21 @@ class TestRoundTrip:
 
 
 class TestIdentityCache:
-    def test_cache_reduces_probe_count(self):
-        cloud = PrivateCloud.paper_setup()
-        token = cloud.paper_tokens()["bob"]
-        cached = CloudStateProvider(cloud.network, "myProject",
-                                    cache_identity=True)
-        uncached = CloudStateProvider(cloud.network, "myProject")
-        for provider in (cached, uncached):
-            provider.bindings(token)
-            provider.bindings(token)
-        assert cached.probe_count == uncached.probe_count - 1
-
-    def test_cached_identity_correct(self):
-        cloud = PrivateCloud.paper_setup()
-        token = cloud.paper_tokens()["alice"]
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True)
-        first = provider.bindings(token)["user"]
-        second = provider.bindings(token)["user"]
-        assert first == second
-        assert second["roles"] == ["admin"]
-
-    def test_invalidate_forces_reprobe(self):
-        cloud = PrivateCloud.paper_setup()
-        token = cloud.paper_tokens()["bob"]
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True)
-        provider.bindings(token)
-        count_after_first = provider.probe_count
-        provider.invalidate_identity_cache()
-        provider.bindings(token)
-        assert provider.probe_count == count_after_first + 4
+    """The probe cache keys ``user`` by token like any other root."""
 
     def test_cache_does_not_mask_role_changes_after_invalidation(self):
         cloud = PrivateCloud.paper_setup()
         token = cloud.paper_tokens()["carol"]
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True)
-        assert provider.bindings(token)["user"]["roles"] == ["user"]
-        cloud.keystone.rbac.assign("member", "myProject", user_id="carol")
-        # Stale until invalidated -- the documented contract.
-        assert provider.bindings(token)["user"]["roles"] == ["user"]
-        provider.invalidate_identity_cache()
-        assert provider.bindings(token)["user"]["roles"] == [
-            "member", "user"]
+        provider = CloudStateProvider(cloud.network, "myProject")
+        provider.probe_cache = ProbeCache()
 
-    def test_monitored_session_with_cache_is_equivalent(self):
-        cloud = PrivateCloud.paper_setup()
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                          enforcing=False)
-        monitor.provider.cache_identity = True
-        cloud.network.register("cmonitor", monitor.app)
-        oracle = TestOracle(cloud, monitor)
-        oracle.run()
-        assert monitor.violations() == []
-        assert monitor.coverage.coverage == 1.0
+        def roles():
+            return provider.bindings(token, roots=["user"])["user"]["roles"]
+
+        assert roles() == ["user"]
+        cloud.keystone.rbac.assign("member", "myProject", user_id="carol")
+        # Out-of-band role changes stay stale until the cache is cleared
+        # -- the documented contract.
+        assert roles() == ["user"]
+        provider.probe_cache.clear()
+        assert roles() == ["member", "user"]

@@ -10,9 +10,13 @@ break: exactly-once computation, gap-free sequence numbers, bounded
 rings that keep the most recent entries.
 """
 
+import io
+import json
+import sys
 import threading
 from collections import Counter
 
+from repro.cloud import PrivateCloud
 from repro.core import MonitorFleet, SingleFlight
 from repro.core.fleet import tenant_from_token
 from repro.httpsim import Request
@@ -44,6 +48,7 @@ def run_racing(worker, threads=THREADS):
         thread.start()
     for thread in pool:
         thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in pool), "workers hung"
     assert not errors, f"racing workers raised: {errors!r}"
 
 
@@ -109,6 +114,76 @@ class TestEventRingUnderContention:
             mine = log.filter(trace_id=f"t-{index:06d}")
             assert len(mine) == ROUNDS
             assert all(record.get("thread") == index for record in mine)
+
+
+class TestRingReadsUnderContention:
+    """Readers snapshot the obs rings under their lock while emitters on
+    other threads keep appending."""
+
+    def setup_method(self):
+        # Frequent thread switches widen every read-while-append window.
+        self._interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+    def teardown_method(self):
+        sys.setswitchinterval(self._interval)
+
+    def test_reads_never_see_a_mutating_ring(self):
+        log = EventLog(clock=ManualClock(), keep=256)
+        tracer = Tracer(clock=ManualClock(), keep=32)
+        done = threading.Event()
+
+        def worker(index):
+            if index == 0:
+                for round_number in range(2000):
+                    log.emit("stress", round=round_number)
+                    tracer.finish(tracer.begin("stress"))
+                done.set()
+                return
+            while not done.is_set():
+                log.filter(event="stress", limit=5)
+                list(log)
+                tracer.to_dicts()
+
+        run_racing(worker, threads=2)
+
+    def test_flush_while_emitting_writes_every_event_once(self):
+        cloud = PrivateCloud.paper_setup()
+        fleet = MonitorFleet.for_service("cinder", cloud.network,
+                                         "myProject", shards=2)
+        for shard in fleet.shards:
+            # Room for every event: nothing is evicted, so every event
+            # emitted must be flushed exactly once.
+            shard.obs.events = EventLog(clock=ManualClock(), keep=10_000)
+        sink = io.StringIO()
+        emitters = 2
+        running = [emitters]
+        running_lock = threading.Lock()
+
+        def worker(index):
+            if index < emitters:
+                for round_number in range(2000):
+                    for shard in fleet.shards:
+                        shard.obs.events.emit("stress", thread=index,
+                                              round=round_number)
+                with running_lock:
+                    running[0] -= 1
+                return
+            while running[0]:
+                fleet.flush_events(sink)
+
+        try:
+            run_racing(worker, threads=emitters + 1)
+            fleet.flush_events(sink)
+        finally:
+            fleet.close()
+        records = [json.loads(line)
+                   for line in sink.getvalue().splitlines()]
+        for index, shard in enumerate(fleet.shards):
+            seqs = sorted(record["seq"] for record in records
+                          if record["shard"] == index)
+            assert seqs == list(range(1, shard.obs.events.emitted_count
+                                      + 1))
 
 
 class TestTracerUnderContention:

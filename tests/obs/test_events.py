@@ -81,6 +81,16 @@ class TestRingAndFilter:
             log.emit("tick", index=index)
         limited = log.filter(limit=2)
         assert [event.get("index") for event in limited] == [3, 4]
+        for limit in (5, 7, 20):
+            assert [event.get("index") for event in log.filter(limit=limit)
+                    ] == [0, 1, 2, 3, 4]
+        assert log.filter(limit=0) == []
+
+    def test_negative_limit_rejected(self):
+        log = make_log()
+        log.emit("tick")
+        with pytest.raises(EventError):
+            log.filter(limit=-1)
 
     def test_filter_on_absent_field_matches_nothing(self):
         log = make_log()

@@ -8,7 +8,6 @@ import json
 
 from repro.cloud import PrivateCloud
 from repro.core import CloudMonitor
-from repro.core.monitor import CloudStateProvider
 from repro.obs import ManualClock, Observability
 from repro.validation import TestOracle, default_setup
 
@@ -97,21 +96,6 @@ class TestMetrics:
         clients["carol"].get(MONITOR)
         assert monitor.obs.metrics.counter_value(
             "monitor_probe_requests_total") == monitor.provider.probe_count
-
-    def test_identity_cache_hit_miss_counters(self):
-        cloud = PrivateCloud.paper_setup()
-        obs = Observability(clock=ManualClock())
-        provider = CloudStateProvider(cloud.network, "myProject",
-                                      cache_identity=True,
-                                      observability=obs)
-        token = cloud.paper_tokens()["bob"]
-        provider.bindings(token)
-        provider.bindings(token)
-        provider.bindings(token)
-        assert obs.metrics.counter_value(
-            "monitor_identity_cache_misses_total") == 1
-        assert obs.metrics.counter_value(
-            "monitor_identity_cache_hits_total") == 2
 
     def test_ocl_eval_metrics_recorded(self):
         cloud, monitor, clients = deterministic_setup()
@@ -243,6 +227,13 @@ class TestDiagnosticRoutes:
         limited = monitor.app.get("/-/events?limit=1").json()
         assert len(limited["events"]) == 1
         assert monitor.app.get("/-/events?limit=bogus").status_code == 400
+
+    def test_events_route_rejects_a_negative_limit(self):
+        cloud, monitor, clients = deterministic_setup()
+        clients["carol"].get(MONITOR)
+        response = monitor.app.get("/-/events?limit=-1")
+        assert response.status_code == 400
+        assert "non-negative" in response.json()["error"]
 
     def test_trace_route_resolves_retained_traces(self):
         cloud, monitor, clients = deterministic_setup()

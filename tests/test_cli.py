@@ -171,6 +171,21 @@ class TestEvents:
                    for event in document["events"])
         assert document["emitted"] >= document["retained"]
 
+    def test_limit_above_the_match_count_keeps_every_match(self, capsys):
+        import json
+
+        assert main(["events", "--deterministic", "--json"]) == 0
+        everything = json.loads(capsys.readouterr().out)["events"]
+        assert main(["events", "--deterministic", "--json",
+                     "--limit", str(len(everything) + 2)]) == 0
+        assert json.loads(capsys.readouterr().out)["events"] == everything
+
+    def test_negative_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["events", "--deterministic", "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_verdict_filter(self, capsys):
         assert main(["events", "--deterministic", "--json",
                      "--verdict", "valid"]) == 0
