@@ -148,7 +148,7 @@ def test_bench_overhead_sampling_ladder(benchmark):
       not host speed -- per-request obs cost must not grow with volume).
 
     The ladder entry is appended to ``BENCH_scaling.json`` so the
-    trajectory gate can watch the overhead story across commits.
+    overhead story stays visible across commits.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     entry = measure_overhead_ladder(base=16, factors=(1, 10, 100))

@@ -3,14 +3,21 @@
 
 Run from the repository root::
 
-    python scripts/gen_api_index.py
+    PYTHONPATH=src python scripts/gen_api_index.py
+
+``tests/test_api_index.py`` fails when ``render()`` and the committed
+file differ, so regenerate after changing a public docstring.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
 
 import repro
+
+API_INDEX = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "docs", "api.md")
 
 HEADER = [
     "# API index",
@@ -52,7 +59,8 @@ def first_line(obj) -> str:
     return doc.splitlines()[0] if doc else ""
 
 
-def main() -> None:
+def render() -> str:
+    """The text of docs/api.md for the package as imported."""
     lines = list(HEADER)
     modules = sorted(
         module.name for module in
@@ -84,9 +92,14 @@ def main() -> None:
             elif inspect.isfunction(obj):
                 lines.append(f"- `{name}()` — {first_line(obj)}")
         lines.append("")
-    with open("docs/api.md", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines).rstrip() + "\n")
-    print(f"wrote docs/api.md ({len(lines)} lines)")
+    return "\n".join(lines).rstrip() + "\n"
+
+
+def main() -> None:
+    text = render()
+    with open(API_INDEX, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"wrote docs/api.md ({len(text.splitlines())} lines)")
 
 
 if __name__ == "__main__":

@@ -1,46 +1,20 @@
 #!/bin/sh
-# Tier-1 verification: the full test suite plus the observability
+# Tier-1 verification: the full test suite (which runs every digest gate
+# in scripts/gates.py through tests/test_gates.py) plus the observability
 # coverage gate.  Run from the repository root:
 #
 #     sh scripts/verify.sh
 #
-# Exits non-zero on the first failing step.
+# Exits non-zero on the first failing step and leaves the tree unchanged.
 
 set -e
 
 cd "$(dirname "$0")/.."
 
-echo "==> tier-1 test suite"
+echo "==> tier-1 test suite (including the digest gates)"
 PYTHONPATH=src python -m pytest -q
 
 echo "==> observability coverage floor"
 PYTHONPATH=src python scripts/check_obs_coverage.py --floor 80
-
-echo "==> probe budget gate (planning enabled, deterministic workload)"
-PYTHONPATH=src python scripts/check_probe_budget.py
-
-echo "==> chaos parity gate (recoverable faults leave verdicts unchanged)"
-PYTHONPATH=src python scripts/check_chaos_parity.py
-
-echo "==> cache parity gate (probe cache leaves verdicts unchanged)"
-PYTHONPATH=src python scripts/check_cache_parity.py
-
-echo "==> slo gate (deterministic slo/events/alarms output matches baseline)"
-PYTHONPATH=src python scripts/check_slo_gate.py
-
-echo "==> config gate (round-trip + migrate lossless by digest)"
-PYTHONPATH=src python scripts/check_config_migrate.py
-
-echo "==> fan-out/fleet parity gate (concurrency leaves verdicts unchanged)"
-PYTHONPATH=src python scripts/check_fanout_parity.py
-
-echo "==> overload gate (generous-control parity + deterministic burst)"
-PYTHONPATH=src python scripts/check_overload_gate.py
-
-echo "==> overhead gate (disabled-sampling parity + sampled-ladder invariants)"
-PYTHONPATH=src python scripts/check_overhead_gate.py
-
-echo "==> bench trajectory gate (multi-shard throughput vs recorded best)"
-PYTHONPATH=src python scripts/check_bench_trajectory.py
 
 echo "==> verify: OK"

@@ -20,7 +20,8 @@ was configured:
 
 Everything is driven by the injectable clock the SLO engine already
 uses, so alarm transitions under a seeded workload are byte-stable --
-the property the ``alarms`` digest in ``scripts/slo_gate.json`` pins.
+the property the ``slo`` gate's ``alarms`` digest in
+``scripts/gates.json`` pins.
 Alarm rules are plain data and round-trip through
 :class:`repro.config.MonitorConfig`.
 """

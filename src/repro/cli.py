@@ -391,7 +391,7 @@ def _degraded_alarm_session():
     battery-free request loop, so the alarm transition log -- escalation
     to CRITICAL while the substrate is dead, hysteretic stand-down after
     it heals and the burn windows drain -- is byte-identical across
-    runs.  ``scripts/check_slo_gate.py`` pins its digest.
+    runs.  The ``slo`` gate in ``scripts/gates.py`` pins its digest.
     """
     from .validation.chaos import (CHAOS_HOSTS, _resilient_setup,
                                    unrecoverable_program)

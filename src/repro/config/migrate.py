@@ -9,7 +9,7 @@ version-1 document, key by key and strictly: an unknown legacy key is a
 
 ``migrate`` is idempotent -- a version-1 document passes through the
 canonicalizing parser unchanged, so ``migrate(migrate(d)) == migrate(d)``
-and the digest gate (``scripts/check_config_migrate.py``) can compare
+and the ``config`` gate (``scripts/gates.py``) can compare
 ``dump -> migrate -> dump`` fingerprints byte for byte.
 """
 

@@ -10,7 +10,7 @@ shape; :mod:`repro.config.migrate` lifts older documents forward.
 The document is **canonical**: :meth:`MonitorConfig.to_dict` always
 emits every section with every field, so ``from_dict(to_dict(cfg)) ==
 cfg`` exactly and :func:`config_digest` is a stable fingerprint --
-the losslessness property ``scripts/check_config_migrate.py`` gates and
+the losslessness property the ``config`` gate (``scripts/gates.py``) and
 the hypothesis round-trip tests pin.  Parsing is **strict**: unknown
 sections or fields raise :class:`~repro.errors.ConfigError` instead of
 being silently dropped (a typoed ``enforcig:`` must not silently leave
@@ -523,6 +523,9 @@ class MonitorConfig:
             problems.append(
                 f"scenario.name {self.scenario.name!r} is not registered "
                 f"(known: {', '.join(scenario_names())})")
+        elif self.scenario.compiled and self.scenario.name != "cinder":
+            problems.append("scenario.compiled is only supported for the "
+                            f"cinder scenario, not {self.scenario.name!r}")
         if self.fleet.shards < 1:
             problems.append("fleet.shards must be >= 1")
         if self.monitor.fanout < 1:

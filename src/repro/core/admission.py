@@ -33,8 +33,8 @@ overload story, in three deterministic pieces:
 
 Everything here is disabled by default and adds **zero clock reads** to
 the default monitored path, preserving byte-parity with the recorded
-digest gates; ``scripts/check_overload_gate.py`` pins both the parity
-and the burst behavior.
+digest gates; the ``overload`` gate in ``scripts/gates.py`` pins both
+the parity and the burst behavior.
 """
 
 from __future__ import annotations

@@ -301,17 +301,20 @@ class MonitorFleet:
     # -- batched persistence ----------------------------------------------
 
     def flush_audit(self, destination: Union[str, IO[str]]) -> int:
-        """Append verdict rows not yet flushed, in arrival order.
+        """Append verdict rows not yet flushed, each batch in arrival order.
 
         Writes one batch per call instead of one write per request --
         the fleet's answer to audit persistence under high request
-        rates.  A path is opened in append mode; pass an open file to
-        control buffering yourself.  Returns the rows written.
+        rates.  The cursor follows the order verdicts were merged, so
+        each row is written exactly once even when a concurrent shard
+        merges a lower arrival number after a flush.  A path is opened
+        in append mode; pass an open file to control buffering
+        yourself.  Returns the rows written.
         """
         with self._merge_lock:
-            ordered = sorted(self._verdicts, key=lambda entry: entry[0])
-            batch = ordered[self._audit_cursor:]
-            self._audit_cursor = len(ordered)
+            batch = sorted(self._verdicts[self._audit_cursor:],
+                           key=lambda entry: entry[0])
+            self._audit_cursor = len(self._verdicts)
         lines = [verdict_to_json(verdict) + "\n"
                  for _, _, verdict in batch]
         self._write(destination, lines)

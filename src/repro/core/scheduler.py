@@ -26,7 +26,7 @@ Two pieces:
 
 ``width <= 1`` degrades to a plain serial loop on the calling thread --
 the scheduler is always safe to construct, and the fan-out/serial parity
-gate (``scripts/check_fanout_parity.py``) holds by construction.
+gate (``scripts/gates.py --only fanout``) holds by construction.
 """
 
 from __future__ import annotations

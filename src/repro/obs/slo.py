@@ -18,10 +18,9 @@ budget?"  This module follows the SRE playbook:
   fast/slow thresholds (14.4 / 6) page only when both windows agree,
   filtering blips without missing sustained burns;
 * :meth:`SLOEngine.report` is a canonical, JSON-ready document --
-  byte-stable under a ManualClock, which is what
-  ``scripts/check_slo_gate.py`` pins -- and :meth:`SLOEngine.render`
-  is the human table behind ``cloudmon slo`` and the ``/-/health``
-  route.
+  byte-stable under a ManualClock, which is what the ``slo`` gate in
+  ``scripts/gates.py`` pins -- and :meth:`SLOEngine.render` is the
+  human table behind ``cloudmon slo`` and the ``/-/health`` route.
 
 All selector reads are O(series); nothing here retains observations.
 """

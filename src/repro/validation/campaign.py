@@ -91,10 +91,10 @@ def measure_probe_rate(count: int = 60, seed: int = 42,
                        probe_cache: bool = False) -> dict:
     """Probes per request on the seeded overhead workload.
 
-    The measurement behind the probe-budget gate and the bench
-    trajectory: deterministic (seeded RNG, in-process network), so the
-    returned rate is exact, not an estimate.  Includes the monitor's
-    probe-cache counters when the cache is enabled.
+    The measurement behind the ``probe_budget`` gate: deterministic
+    (seeded RNG, in-process network), so the returned rate is exact,
+    not an estimate.  Includes the monitor's probe-cache counters when
+    the cache is enabled.
     """
     from ..workloads import WorkloadRunner, make_workload
 

@@ -14,7 +14,7 @@ design demands is two-sided:
 
 Both campaigns run the same seeded workload on the same deterministic
 stack (seeded RNG, in-process network, ManualClock), so
-``scripts/check_chaos_parity.py`` can gate on the exact digest of the
+the ``chaos`` gate (``scripts/gates.py``) can pin the exact digest of the
 verdict rows.
 """
 

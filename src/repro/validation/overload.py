@@ -4,7 +4,7 @@ The chaos campaign (:mod:`repro.validation.chaos`) answers "does a flaky
 substrate change what the monitor says?"; this module answers the
 capacity question: **does a traffic burst ever turn the monitor itself
 into the outage?**  Two deterministic legs, both digest-pinned by
-``scripts/check_overload_gate.py``:
+the ``overload`` gate in ``scripts/gates.py``:
 
 * **parity** -- with the overload controls *enabled but generous* (a
   deadline far beyond any request, an admission queue nothing can

@@ -17,7 +17,7 @@ Two deterministic legs, mirroring the overload campaign's split between
   the tracer rings, and the same seed replays the same decisions.
 
 Both legs run on a :class:`~repro.obs.clock.ManualClock`, so every run
-is byte-reproducible; ``scripts/check_overhead_gate.py`` gates on them.
+is byte-reproducible; ``scripts/gates.py --only overhead`` pins them.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from .generator import RequestMix, WorkloadRunner, make_workload
 from .scaling import (
     append_trajectory,
     balanced_tenants,
-    best_throughput,
     load_trajectory,
     measure_fleet_throughput,
     measure_overhead_ladder,
@@ -40,7 +39,6 @@ __all__ = [
     "WorkloadRunner",
     "append_trajectory",
     "balanced_tenants",
-    "best_throughput",
     "bursty_arrivals",
     "load_trajectory",
     "make_workload",

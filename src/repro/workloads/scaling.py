@@ -15,8 +15,8 @@ monitor is I/O-bound on its probes), so shard driver threads genuinely
 overlap their waits and the measured speedup reflects the architecture,
 not GIL accounting.  :func:`measure_fleet_throughput` runs one shape;
 :func:`scaling_sweep` runs the 1..N ladder; the trajectory helpers
-persist sweeps to ``BENCH_scaling.json`` so regressions are visible
-across commits (``scripts/check_bench_trajectory.py`` gates on it).
+persist sweeps to ``BENCH_scaling.json`` so the ladder's history rides
+along with the code.
 """
 
 from __future__ import annotations
@@ -515,14 +515,3 @@ def append_trajectory(path: str, entry: Dict[str, object],
         json.dump(trajectory, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return trajectory
-
-
-def best_throughput(trajectory: Dict[str, object],
-                    shards: int) -> Optional[float]:
-    """Best recorded throughput at *shards* across the trajectory."""
-    best: Optional[float] = None
-    for entry in trajectory.get("entries", []):
-        value = entry.get("throughput_by_shards", {}).get(str(shards))
-        if value is not None and (best is None or value > best):
-            best = value
-    return best

@@ -4,8 +4,8 @@ legacy setup helpers.
 The acceptance property for the config path: the same seeded workload
 through a config-built monitor (and a config-built 4-shard fleet)
 produces exactly the verdict rows the deprecated setup shims produce,
-on a clean leg and under recoverable faults.  ``scripts/
-check_fanout_parity.py`` pins the absolute bytes against the recorded
+on a clean leg and under recoverable faults.  The ``fanout`` gate in
+``scripts/gates.py`` pins the absolute bytes against the recorded
 baseline; these tests pin the equivalence between the two APIs.
 """
 

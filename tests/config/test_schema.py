@@ -15,6 +15,7 @@ from repro.config import (
     SLOSpec,
     SinkSpec,
     WindowSpec,
+    build_from_config,
     config_digest,
     dump,
     dumps,
@@ -154,6 +155,20 @@ class TestValidation:
             "config_version": 1, "fleet": {"shards": 0}})
         with pytest.raises(ConfigError):
             config.require_valid()
+
+    def test_compiled_is_rejected_where_it_cannot_build(self):
+        # Only the cinder scenario accepts compiled contracts; anything
+        # else must fail validation, not raise TypeError mid-build.
+        for name in ("nova", "keystone"):
+            config = MonitorConfig.from_dict({
+                "config_version": 1,
+                "scenario": {"name": name, "compiled": True}})
+            with pytest.raises(ConfigError, match="scenario.compiled"):
+                build_from_config(config)
+        config = MonitorConfig.from_dict({
+            "config_version": 1, "scenario": {"compiled": True}})
+        _, monitor = build_from_config(config)
+        monitor.close()
 
 
 class TestDigestDocument:

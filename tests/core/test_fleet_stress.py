@@ -185,6 +185,45 @@ class TestRingReadsUnderContention:
             assert seqs == list(range(1, shard.obs.events.emitted_count
                                       + 1))
 
+    def test_flush_while_dispatching_writes_every_verdict_once(self):
+        cloud = PrivateCloud.paper_setup()
+        fleet = MonitorFleet.for_service("cinder", cloud.network,
+                                         "myProject", shards=2)
+        tokens = cloud.paper_tokens()
+
+        def read(token):
+            return Request("GET", "http://cmonitor/cmonitor/volumes",
+                           headers={"X-Auth-Token": token})
+
+        # Two clients on different shards merge verdicts concurrently,
+        # so a low arrival number can be merged after a flush.
+        clients = [tokens["alice"], tokens["bob"]]
+        assert len({fleet.shard_for(read(token))
+                    for token in clients}) == 2
+        sink = io.StringIO()
+        running = [len(clients)]
+        running_lock = threading.Lock()
+
+        def worker(index):
+            if index < len(clients):
+                for _ in range(400):
+                    fleet.handle(read(clients[index]))
+                with running_lock:
+                    running[0] -= 1
+                return
+            while running[0]:
+                fleet.flush_audit(sink)
+
+        try:
+            run_racing(worker, threads=len(clients) + 1)
+            fleet.flush_audit(sink)
+        finally:
+            fleet.close()
+        flushed = sorted(json.loads(line)["correlation_id"]
+                         for line in sink.getvalue().splitlines())
+        assert flushed == sorted(verdict.correlation_id
+                                 for verdict in fleet.log)
+
 
 class TestTracerUnderContention:
     def test_trace_ids_are_unique_and_rings_bounded(self):
