@@ -16,7 +16,7 @@ from repro.core import CloudMonitor, ContractGenerator, MonitorOptions
 from repro.core import cinder_behavior_model, cinder_resource_model
 from repro.cloud import PrivateCloud
 from repro.uml import slice_models
-from repro.validation import TestOracle, default_setup
+from repro.validation import TestOracle
 from repro.workloads import synthetic_models
 
 
@@ -115,8 +115,9 @@ def test_bench_ablation_compiled_monitor_equivalent(benchmark):
 
     def run_compiled():
         cloud = PrivateCloud.paper_setup()
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                          enforcing=False, compiled=True)
+        monitor = CloudMonitor.for_service("cinder", cloud.network,
+                                           "myProject", enforcing=False,
+                                           compiled=True)
         cloud.network.register("cmonitor", monitor.app)
         TestOracle(cloud, monitor).run()
         return monitor
@@ -136,9 +137,9 @@ def test_bench_ablation_sliced_monitor_equivalent(benchmark):
 
     def run_sliced():
         cloud = PrivateCloud.paper_setup()
-        monitor = CloudMonitor.for_cinder(
-            cloud.network, "myProject", machine=machine, diagram=diagram,
-            enforcing=False)
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject", machine=machine,
+            diagram=diagram, enforcing=False)
         cloud.network.register("cmonitor", monitor.app)
         TestOracle(cloud, monitor).run()
         return monitor

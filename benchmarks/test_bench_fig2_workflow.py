@@ -7,13 +7,14 @@ get "an invalid response specifying the faulty behavior", and a correct
 cloud never produces a violation verdict.
 """
 
+from repro.config import build_from_config
 from repro.core import Verdict
-from repro.validation import TestOracle, default_setup, standard_battery
+from repro.validation import TestOracle, campaign_config, standard_battery
 
 
 def test_bench_fig2_battery(benchmark):
     def run_battery():
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(campaign_config())
         oracle = TestOracle(cloud, monitor)
         oracle.run()
         return monitor, oracle
@@ -38,7 +39,7 @@ def test_bench_fig2_enforcing_blocks_before_cloud(benchmark):
     """Figure 2 proper: requests are forwarded only if the pre holds."""
 
     def run_enforcing():
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(campaign_config(enforcing=True))
         oracle = TestOracle(cloud, monitor)
         oracle.run()
         return cloud, monitor, oracle

@@ -14,7 +14,8 @@ snapshot size per method, which must stay tens of bytes.
 import os
 import time
 
-from repro.validation import default_setup
+from repro.config import build_from_config
+from repro.validation import campaign_config
 from repro.workloads import (
     WorkloadRunner,
     append_trajectory,
@@ -30,7 +31,7 @@ TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_scaling.json")
 
 def test_bench_overhead_direct(benchmark):
     def run_direct():
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(campaign_config())
         runner = WorkloadRunner(cloud, monitor)
         return runner.execute(WORKLOAD, monitored=False)
 
@@ -41,7 +42,7 @@ def test_bench_overhead_direct(benchmark):
 
 def test_bench_overhead_monitored(benchmark):
     def run_monitored():
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(campaign_config())
         runner = WorkloadRunner(cloud, monitor)
         return runner.execute(WORKLOAD, monitored=True)
 
@@ -53,14 +54,14 @@ def test_bench_overhead_monitored(benchmark):
 def test_bench_overhead_factor_and_snapshot_size(benchmark):
     """The analysis row: overhead factor, probes, and snapshot bytes."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(campaign_config())
     runner = WorkloadRunner(cloud, monitor)
 
     started = time.perf_counter()
     runner.execute(WORKLOAD, monitored=False)
     direct_elapsed = time.perf_counter() - started
 
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(campaign_config())
     runner = WorkloadRunner(cloud, monitor)
     started = time.perf_counter()
     runner.execute(WORKLOAD, monitored=True)
@@ -96,7 +97,8 @@ def test_bench_overhead_probe_planning(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     def run(probe_planning):
-        cloud, monitor = default_setup(probe_planning=probe_planning)
+        cloud, monitor = build_from_config(campaign_config(
+            probe_planning=probe_planning))
         runner = WorkloadRunner(cloud, monitor)
         started = time.perf_counter()
         histogram = runner.execute(WORKLOAD, monitored=True)

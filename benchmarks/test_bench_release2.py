@@ -25,8 +25,8 @@ def test_bench_release2_drift_detection(benchmark):
     def stale_monitor_run():
         cloud = PrivateCloud.paper_setup(release2=True)
         tokens = cloud.paper_tokens()
-        monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                          enforcing=False)
+        monitor = CloudMonitor.for_service("cinder", cloud.network,
+                                           "myProject", enforcing=False)
         cloud.network.register("cmonitor", monitor.app)
         bob = cloud.client(tokens["bob"])
         alice = cloud.client(tokens["alice"])
@@ -63,8 +63,8 @@ def test_bench_release2_backward_compatible_model(benchmark):
     def old_cloud_new_model():
         cloud = PrivateCloud.paper_setup()  # release 1
         tokens = cloud.paper_tokens()
-        monitor = CloudMonitor.for_cinder(
-            cloud.network, "myProject",
+        monitor = CloudMonitor.for_service(
+            "cinder", cloud.network, "myProject",
             machine=cinder_behavior_model(with_snapshots=True),
             enforcing=True)
         cloud.network.register("cmonitor", monitor.app)

@@ -96,8 +96,8 @@ def section_vi_monitoring():
     print("=" * 72)
     cloud = PrivateCloud.paper_setup()
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=True)
+    monitor = CloudMonitor.for_service("cinder", cloud.network, "myProject",
+                                       enforcing=True)
     cloud.network.register("cmonitor", monitor.app)
 
     # Create a volume as bob so there is something to DELETE.

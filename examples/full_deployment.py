@@ -29,8 +29,8 @@ def main() -> None:
     # -- deployment -----------------------------------------------------------
     cloud = PrivateCloud.paper_setup(release2=True)
     tokens = cloud.paper_tokens()
-    cinder_monitor = CloudMonitor.for_cinder(
-        cloud.network, "myProject",
+    cinder_monitor = CloudMonitor.for_service(
+        "cinder", cloud.network, "myProject",
         machine=cinder_behavior_model(with_snapshots=True),
         diagram=cinder_resource_model(with_snapshots=True),
         enforcing=True, compiled=True)

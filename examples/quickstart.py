@@ -28,8 +28,8 @@ def main() -> None:
     # 2. The monitor, generated from the paper's design models, mounted on
     #    the virtual network next to the cloud.  Audit mode forwards even
     #    contract-violating requests so wrong cloud behaviour is observable.
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=False)
+    monitor = CloudMonitor.for_service("cinder", cloud.network, "myProject",
+                                       enforcing=False)
     cloud.network.register("cmonitor", monitor.app)
 
     alice = cloud.client(tokens["alice"])

@@ -36,8 +36,8 @@ def drift_detection() -> None:
     print("=" * 72)
     cloud = PrivateCloud.paper_setup(release2=True)
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      enforcing=False)
+    monitor = CloudMonitor.for_service("cinder", cloud.network, "myProject",
+                                       enforcing=False)
     cloud.network.register("cmonitor", monitor.app)
     bob = cloud.client(tokens["bob"])
     alice = cloud.client(tokens["alice"])
@@ -68,8 +68,8 @@ def revised_models() -> None:
         break
     cloud = PrivateCloud.paper_setup(release2=True)
     tokens = cloud.paper_tokens()
-    monitor = CloudMonitor.for_cinder(cloud.network, "myProject",
-                                      machine=machine, enforcing=False)
+    monitor = CloudMonitor.for_service("cinder", cloud.network, "myProject",
+                                       machine=machine, enforcing=False)
     cloud.network.register("cmonitor", monitor.app)
     bob = cloud.client(tokens["bob"])
     alice = cloud.client(tokens["alice"])

@@ -35,19 +35,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .cloud import extended_mutants, paper_mutants
+from .config import ObservabilitySection, SamplingSection, build_from_config
 from .core import ContractGenerator, cinder_behavior_model, cinder_resource_model
 from .errors import ReproError
 from .rbac import SecurityRequirementsTable
 from .validation import (
     MutationCampaign,
     TestOracle,
+    campaign_config,
     extended_battery,
     standard_battery,
 )
-from .validation.campaign import _default_setup as default_setup
 
 
 def cmd_table(_args: argparse.Namespace) -> int:
@@ -68,8 +70,8 @@ def cmd_contracts(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    cloud, monitor = default_setup(enforcing=args.enforcing,
-                                   probe_cache=args.probe_cache)
+    cloud, monitor = build_from_config(campaign_config(
+        enforcing=args.enforcing, probe_cache=args.probe_cache))
     oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
     oracle.run(battery)
@@ -255,33 +257,22 @@ def _monitored_session(args: argparse.Namespace):
     byte-identical across runs -- the property the diagnostics gates pin.
     ``--sample-rate`` (where the subcommand offers it) enables head/tail
     trace sampling at that keep probability, seeded by ``--sample-seed``;
-    without the flag the session is unsampled, exactly as before.
+    without the flag the session is unsampled.
     """
-    from .obs import ManualClock, Observability
-
-    clock = ManualClock(tick=1e-4) if args.deterministic else None
-    obs = Observability(clock=clock)
     sample_rate = getattr(args, "sample_rate", None)
-    if sample_rate is not None:
-        from .config import (CloudSection, MonitorConfig, MonitorSection,
-                             ObservabilitySection, SamplingSection,
-                             build_from_config)
-
-        config = MonitorConfig(
-            cloud=CloudSection(volume_quota=5),
-            monitor=MonitorSection(enforcing=args.enforcing),
-            observability=ObservabilitySection(
-                sampling=SamplingSection(
-                    enabled=True, rate=sample_rate,
-                    seed=getattr(args, "sample_seed", 0) or 0)))
-        cloud, monitor = build_from_config(config, observability=obs)
-    else:
-        cloud, monitor = default_setup(enforcing=args.enforcing,
-                                       observability=obs)
+    sampling = (SamplingSection(enabled=True, rate=sample_rate,
+                                seed=getattr(args, "sample_seed", 0) or 0)
+                if sample_rate is not None else SamplingSection())
+    config = replace(campaign_config(enforcing=args.enforcing),
+                     observability=ObservabilitySection(
+                         clock="manual" if args.deterministic else "system",
+                         tick=1e-4 if args.deterministic else 0.0,
+                         sampling=sampling))
+    cloud, monitor = build_from_config(config)
     oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
     oracle.run(battery)
-    return obs, monitor
+    return monitor.obs, monitor
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -393,10 +384,10 @@ def _degraded_alarm_session():
     it heals and the burn windows drain -- is byte-identical across
     runs.  The ``slo`` gate in ``scripts/gates.py`` pins its digest.
     """
-    from .validation.chaos import (CHAOS_HOSTS, _resilient_setup,
+    from .validation.chaos import (CHAOS_HOSTS, chaos_config,
                                    unrecoverable_program)
 
-    cloud, monitor = _resilient_setup()
+    cloud, monitor = build_from_config(chaos_config())
     clock = monitor.obs.clock
     token = cloud.paper_tokens()["alice"]
     url = "http://cmonitor/cmonitor/volumes"
@@ -521,7 +512,7 @@ def cmd_run_config(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .config import MonitorConfig, build_from_config, migrate
+    from .config import MonitorConfig, migrate
     from .workloads import WorkloadRunner, make_workload
 
     config = MonitorConfig.from_dict(migrate(
@@ -615,7 +606,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .cloud import extended_mutants, paper_mutants
     from .validation import session_report
 
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(campaign_config())
     oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
     oracle.run(battery)
@@ -635,7 +626,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:  # pragma: no cover - blocks
     from .httpsim import serve
 
-    cloud, monitor = default_setup(enforcing=not args.audit)
+    cloud, monitor = build_from_config(
+        campaign_config(enforcing=not args.audit))
     tokens = cloud.paper_tokens()
     server = serve(monitor.app, port=args.port).start()
     print(f"cloud monitor listening on {server.base_url}/cmonitor/volumes")

@@ -1,14 +1,12 @@
 """Declarative monitor configuration: one document, one deployment.
 
-The setup API had sprawled -- ``default_setup``, ``resilient_setup``,
-``fleet_setup``, each with its own keyword soup.  This package replaces
-the sprawl with data: a schema-versioned :class:`MonitorConfig`
+A deployment is data: a schema-versioned :class:`MonitorConfig`
 (``config_version: 1``, YAML or JSON) describing the cloud, scenario,
 monitor options, resilience policy, fleet shape, SLO catalog, alarm
-rules, and notification sinks; :func:`build_from_config` stands the
-whole thing up byte-identically to the legacy setup functions; and
-:func:`~repro.config.migrate.migrate` lifts pre-versioning flat
-documents forward, losslessly by digest.
+rules, and notification sinks.  :func:`build_from_config` is the one
+way to stand it up -- clock first, then cloud, then monitor, so the
+recorded digests hold -- and :func:`~repro.config.migrate.migrate`
+lifts pre-versioning flat documents forward, losslessly by digest.
 
 >>> cfg = loads(open("monitor.yaml").read())   # doctest: +SKIP
 >>> cloud, monitor = build_from_config(cfg)    # doctest: +SKIP

@@ -42,7 +42,7 @@ from ..obs import Observability, SLOEngine, TraceIdAllocator, merge_registries
 from ..alerting import SEVERITY_ORDER
 from .auditlog import verdict_to_json
 from .monitor import CloudMonitor
-from .options import MonitorOptions, resolve_options
+from .options import MonitorOptions
 from .verdicts import MonitorVerdict
 
 #: How a request is reduced to the key the router shards on.
@@ -123,38 +123,25 @@ class MonitorFleet:
                     clock=None,
                     router_seed: int = 0,
                     tenant_key: Optional[TenantKeyFn] = None,
-                    transport_factory: Optional[
-                        Callable[[int, Observability], Any]] = None,
-                    fanout: Optional[int] = None,
                     options: Optional[MonitorOptions] = None,
                     **kwargs) -> "MonitorFleet":
         """Build a fleet of *shards* monitors for a registered scenario.
 
         Every shard gets its own :class:`~repro.obs.Observability` (on
-        the shared *clock*) and -- when *transport_factory* is given --
-        its own transport built by ``transport_factory(index, obs)``, so
-        breaker state never crosses shards (with no factory,
-        ``options.resilience`` gives each shard its own transport the
-        same way).  All shards share one
-        :class:`~repro.obs.tracing.TraceIdAllocator`.  *options* shapes
-        every shard; the ``fanout=`` / ``probe_cache=`` keywords still
-        fold in but are deprecated.  Remaining keyword arguments go to
-        the scenario builder (``enforcing``, ``probe_planning``, ...).
+        the shared *clock*), and *options* shapes every shard: each
+        builds its own transport from ``options.resilience`` and its own
+        probe cache, so breaker and cache state never cross shards.  All
+        shards share one :class:`~repro.obs.tracing.TraceIdAllocator`.
+        Remaining keyword arguments go to the scenario builder
+        (``enforcing``, ``probe_planning``, ...).
         """
         if shards < 1:
             raise MonitorError("a fleet needs at least one shard")
-        options = resolve_options(options, fanout=fanout,
-                                  probe_cache=kwargs.pop("probe_cache",
-                                                         None))
         trace_ids = TraceIdAllocator()
-        monitors = []
-        for index in range(shards):
-            obs = Observability(clock=clock, trace_ids=trace_ids)
-            transport = (transport_factory(index, obs)
-                         if transport_factory is not None else None)
-            monitors.append(CloudMonitor.for_service(
-                name, network, project_id, observability=obs,
-                transport=transport, options=options, **kwargs))
+        monitors = [CloudMonitor.for_service(
+            name, network, project_id,
+            observability=Observability(clock=clock, trace_ids=trace_ids),
+            options=options, **kwargs) for _ in range(shards)]
         return cls(monitors, router=ShardRouter(shards, seed=router_seed),
                    tenant_key=tenant_key)
 
@@ -273,9 +260,9 @@ class MonitorFleet:
                 "probes": monitor.provider.probe_count,
                 "traces": monitor.obs.tracer.started_count,
                 "events": monitor.obs.events.emitted_count,
-                # Per-shard probe-cache counters (zeros when the fleet
-                # was built without probe_cache=True): each shard owns
-                # its own ProbeCache, so hits never cross shards.
+                # Per-shard probe-cache counters (None when the fleet's
+                # options leave the cache off): each shard owns its own
+                # ProbeCache, so hits never cross shards.
                 "probe_cache": (monitor.probe_cache.stats()
                                 if monitor.probe_cache is not None
                                 else None),

@@ -119,8 +119,6 @@ def monitor_for_keystone(network: Network, project_id: str,
                          mount: str = "imonitor",
                          observability=None,
                          probe_planning: Optional[bool] = None,
-                         transport=None,
-                         fanout: Optional[int] = None,
                          options=None) -> CloudMonitor:
     """Assemble the identity-scenario monitor.
 
@@ -147,5 +145,4 @@ def monitor_for_keystone(network: Network, project_id: str,
                         enforcing=enforcing, coverage=coverage,
                         observability=observability,
                         probe_planning=probe_planning,
-                        transport=transport, fanout=fanout,
                         options=options)

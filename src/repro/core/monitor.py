@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 import threading
-import warnings
 from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -170,19 +169,12 @@ class CloudMonitor:
                  coverage: Optional[CoverageTracker] = None,
                  observability: Optional[Observability] = None,
                  probe_planning: Optional[bool] = None,
-                 transport=None,
-                 fanout: Optional[int] = None,
-                 probe_cache=None,
                  options: Optional[MonitorOptions] = None):
         #: The resolved :class:`~repro.core.options.MonitorOptions` this
-        #: monitor was built with.  Pass ``options=`` directly; the
-        #: ``fanout=`` / ``probe_cache=`` keywords still fold in for one
-        #: release but warn :class:`DeprecationWarning`.
+        #: monitor was built with; ``enforcing=`` / ``probe_planning=``
+        #: override the matching fields.
         self.options = resolve_options(options, enforcing=enforcing,
-                                       probe_planning=probe_planning,
-                                       fanout=fanout,
-                                       probe_cache=probe_cache)
-        probe_cache = self.options.probe_cache
+                                       probe_planning=probe_planning)
         self.contracts = contracts
         self.provider = provider
         self.operations = list(operations)
@@ -195,37 +187,28 @@ class CloudMonitor:
         #: contract, so no capability sniffing happens here.
         self.probe_planning = bool(self.options.probe_planning)
         #: Cross-request probe cache (see
-        #: :mod:`repro.core.probecache`).  ``True`` builds a fresh
-        #: instance, or pass a :class:`~repro.core.probecache.ProbeCache`
-        #: to install a specific one; ``None``/``False`` (the default)
-        #: keeps the uncached probe-everything-again behavior.  Each
-        #: fleet shard gets its own instance via the ``for_service``
-        #: keyword pass-through.
+        #: :mod:`repro.core.probecache`), built here so every monitor --
+        #: every fleet shard -- owns its own; ``options.probe_cache``
+        #: off (the default) keeps the uncached behavior.
         self.probe_cache: Optional[ProbeCache] = None
-        if probe_cache:
-            self.probe_cache = (probe_cache
-                                if isinstance(probe_cache, ProbeCache)
-                                else ProbeCache())
+        if self.options.probe_cache:
+            self.probe_cache = ProbeCache()
             self.provider.probe_cache = self.probe_cache
         #: Metrics + tracer + clock shared with the provider, the network,
         #: and the contracts; pass a ManualClock-backed Observability for
         #: deterministic timings.
         self.obs = observability if observability is not None \
             else Observability()
-        #: What probes and the forward travel through.  ``None`` keeps the
-        #: provider's own transport (the bare network unless the provider
-        #: was built resilient); passing a
-        #: :class:`~repro.core.resilience.ResilientTransport` threads
-        #: retries + circuit breaking under every send.  With no explicit
-        #: transport, ``options.resilience`` builds one from its declared
-        #: retry/breaker parameters (breakers are lazy, so this performs
-        #: no clock reads and stays byte-compatible with a pre-built
-        #: transport).
-        if transport is None and self.options.resilience is not None:
-            transport = self.options.resilience.build_transport(
+        #: What probes and the forward travel through: the provider's own
+        #: transport (the bare network unless the provider was built
+        #: resilient), or -- when ``options.resilience`` is set -- a
+        #: :class:`~repro.core.resilience.ResilientTransport` built from
+        #: its retry/breaker parameters, threading retries + circuit
+        #: breaking under every send (breakers are lazy, so building it
+        #: performs no clock reads).
+        if self.options.resilience is not None:
+            self.provider.transport = self.options.resilience.build_transport(
                 self.provider.network)
-        if transport is not None:
-            self.provider.transport = transport
         self.transport = self.provider.transport
         attach = getattr(self.transport, "attach_observability", None)
         if attach is not None and getattr(
@@ -351,20 +334,6 @@ class CloudMonitor:
             self.slos, rules=rules, sinks=sinks,
             events=self.obs.events if sinks is None else None)
         return self.alarms
-
-    @classmethod
-    def for_cinder(cls, network: Network, project_id: str,
-                   **kwargs) -> "CloudMonitor":
-        """Deprecated alias for ``for_service("cinder", ...)``.
-
-        Kept for one release so existing callers keep working; new code
-        should name the scenario through :meth:`for_service`.
-        """
-        warnings.warn(
-            'CloudMonitor.for_cinder is deprecated; use '
-            'CloudMonitor.for_service("cinder", ...)',
-            DeprecationWarning, stacklevel=2)
-        return cls.for_service("cinder", network, project_id, **kwargs)
 
     def _install_routes(self) -> None:
         by_path: Dict[str, List[MonitoredOperation]] = {}

@@ -146,8 +146,6 @@ def monitor_for_nova(network: Network, project_id: str,
                      mount: str = "smonitor",
                      observability=None,
                      probe_planning: Optional[bool] = None,
-                     transport=None,
-                     fanout: Optional[int] = None,
                      options=None) -> CloudMonitor:
     """Assemble the server-scenario monitor (the Cinder recipe, re-applied).
 
@@ -165,5 +163,4 @@ def monitor_for_nova(network: Network, project_id: str,
                         enforcing=enforcing, coverage=coverage,
                         observability=observability,
                         probe_planning=probe_planning,
-                        transport=transport, fanout=fanout,
                         options=options)

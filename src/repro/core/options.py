@@ -1,34 +1,28 @@
 """Typed construction options for monitors and fleets.
 
-Historically every tuning knob travelled as its own keyword through the
-whole construction chain: ``probe_cache=`` and ``fanout=`` were threaded
-through ``CloudMonitor.__init__``, ``CloudMonitor.for_service``, every
-scenario builder, and ``MonitorFleet.for_service``, and resilience
-parameters (retry policy, breaker thresholds) had to be baked into a
-transport object by the caller.  Adding a knob meant touching five
-signatures.
-
-This module replaces the ad-hoc keywords with two frozen dataclasses:
+Every tuning knob that shapes a monitor shard lives in one frozen
+value instead of travelling as its own keyword through
+``CloudMonitor.__init__``, the scenario builders, and
+``MonitorFleet.for_service``:
 
 * :class:`ResilienceOptions` -- the full retry + circuit-breaker
   parameter set, able to build a
   :class:`~repro.core.resilience.ResilientTransport` on demand;
 * :class:`MonitorOptions` -- everything that shapes one monitor shard
-  (mode, planning, fan-out, probe cache, resilience).
+  (mode, planning, fan-out, probe cache, resilience, overload controls,
+  sampling).
 
-``CloudMonitor`` and ``MonitorFleet`` accept a single ``options=``
-object; the old keywords are still accepted for one release but warn
-:class:`DeprecationWarning` (see :func:`resolve_options`).  A
+``CloudMonitor`` and ``MonitorFleet`` take a single ``options=``
+object; only ``enforcing=`` and ``probe_planning=`` remain as
+constructor keywords (see :func:`resolve_options`).  A
 :class:`~repro.config.MonitorConfig` derives its options through
-:func:`repro.config.builder.monitor_options`, making config the one
-construction path.
+:func:`repro.config.builder.monitor_options`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import MonitorError
 from ..obs.sampling import SamplingOptions
@@ -97,12 +91,12 @@ class MonitorOptions:
     * ``probe_planning`` -- demand-driven probe plans (the default)
       versus the paper's probe-everything rounds;
     * ``fanout`` -- concurrent probe fan-out width (1 = serial);
-    * ``probe_cache`` -- cross-request probe cache: ``False`` off,
-      ``True`` a fresh :class:`~repro.core.probecache.ProbeCache`, or a
-      specific instance to install;
+    * ``probe_cache`` -- cross-request probe cache: ``True`` gives the
+      monitor its own :class:`~repro.core.probecache.ProbeCache` (so
+      every fleet shard owns one), ``False`` keeps it off;
     * ``resilience`` -- when set, the monitor builds its own
       :class:`~repro.core.resilience.ResilientTransport` from these
-      parameters (unless an explicit transport is installed);
+      parameters;
     * ``deadline`` / ``admission`` / ``degradation`` -- the overload
       controls from :mod:`repro.core.admission`; all three default to
       ``None`` (off), which keeps the monitored path byte-identical to
@@ -116,7 +110,7 @@ class MonitorOptions:
     enforcing: bool = True
     probe_planning: bool = True
     fanout: int = 1
-    probe_cache: Any = False
+    probe_cache: bool = False
     resilience: Optional[ResilienceOptions] = None
     deadline: Optional[DeadlineOptions] = None
     admission: Optional[AdmissionOptions] = None
@@ -127,45 +121,26 @@ class MonitorOptions:
         if int(self.fanout) < 1:
             raise MonitorError(
                 f"fanout must be >= 1, got {self.fanout}")
-
-
-#: The keywords that now live in :class:`MonitorOptions`; passing them
-#: directly keeps working for one release but warns.
-_DEPRECATED_KEYWORDS = ("fanout", "probe_cache")
+        if not isinstance(self.probe_cache, bool):
+            raise MonitorError(
+                f"probe_cache must be True or False, got "
+                f"{self.probe_cache!r}")
 
 
 def resolve_options(options: Optional[MonitorOptions] = None,
                     enforcing: Optional[bool] = None,
                     probe_planning: Optional[bool] = None,
-                    fanout: Optional[int] = None,
-                    probe_cache: Any = None,
-                    stacklevel: int = 3) -> MonitorOptions:
-    """Fold legacy keywords into a :class:`MonitorOptions`.
+                    ) -> MonitorOptions:
+    """Fold the ``enforcing=`` / ``probe_planning=`` keywords into options.
 
     *options* provides the base (``MonitorOptions()`` when ``None``);
-    any legacy keyword passed as non-``None`` overrides the
-    corresponding field.  ``fanout`` and ``probe_cache`` are the
-    deprecated ad-hoc keywords -- using them warns
-    :class:`DeprecationWarning` pointing at the options field.
-    ``enforcing`` and ``probe_planning`` stay first-class keywords on
-    the constructors (they predate the options object and read well at
-    call sites), so overriding them here never warns.
+    either keyword passed as non-``None`` overrides its field.  The two
+    stay constructor keywords because they read well at call sites;
+    every other knob is set on the :class:`MonitorOptions` itself.
     """
     resolved = options if options is not None else MonitorOptions()
     if enforcing is not None:
         resolved = replace(resolved, enforcing=bool(enforcing))
     if probe_planning is not None:
         resolved = replace(resolved, probe_planning=bool(probe_planning))
-    if fanout is not None:
-        warnings.warn(
-            "the fanout= keyword is deprecated; pass "
-            "options=MonitorOptions(fanout=...) instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        resolved = replace(resolved, fanout=int(fanout))
-    if probe_cache is not None and probe_cache is not False:
-        warnings.warn(
-            "the probe_cache= keyword is deprecated; pass "
-            "options=MonitorOptions(probe_cache=...) instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        resolved = replace(resolved, probe_cache=probe_cache)
     return resolved

@@ -30,10 +30,10 @@ Design points, in decreasing order of how much they matter:
   is not an observation of cloud state; only successful bindings enter
   the cache.
 
-Instances are **not** shared across monitors: each
-:class:`~repro.core.fleet.MonitorFleet` shard builds its own (pass
-``probe_cache=True`` through ``for_service``), keeping shard isolation
-intact.  The owning monitor reports the
+Instances are **not** shared across monitors: ``MonitorOptions.probe_cache``
+is a switch, and each :class:`~repro.core.monitor.CloudMonitor` -- so
+each :class:`~repro.core.fleet.MonitorFleet` shard -- builds its own,
+keeping shard isolation intact.  The owning monitor reports the
 ``monitor_probe_cache_{hits,misses,invalidations}_total`` metric family
 from the counters this class maintains.
 """

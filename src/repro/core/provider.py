@@ -106,10 +106,10 @@ class CloudStateProvider:
         #: must not read each other's probe outcomes.
         self._local = threading.local()
         #: Optional cross-request :class:`~repro.core.probecache.ProbeCache`
-        #: (the owning monitor installs one when built with
-        #: ``probe_cache=True``): untouched roots are served from cache
-        #: instead of re-probing, and the monitor evicts the dirty roots
-        #: after every forwarded mutation.
+        #: (the owning monitor installs one when its
+        #: ``options.probe_cache`` is on): untouched roots are served from
+        #: cache instead of re-probing, and the monitor evicts the dirty
+        #: roots after every forwarded mutation.
         self.probe_cache: Optional[ProbeCache] = None
 
     @property

@@ -1,10 +1,8 @@
 """The scenario registry behind ``CloudMonitor.for_service``.
 
 The paper's approach is scenario-generic -- experts model whichever
-critical service they care about (Section VI-B) -- but the reproduction
-historically grew one bespoke constructor per service
-(``CloudMonitor.for_cinder``, ``monitor_for_nova``, ...).  This module
-collapses them behind one registry: a scenario is a *name* plus a builder
+critical service they care about (Section VI-B).  This module keeps
+every service behind one registry: a scenario is a *name* plus a builder
 ``(network, project_id, **kwargs) -> CloudMonitor``, and
 
 >>> CloudMonitor.for_service("cinder", network, "proj-1", enforcing=False)
@@ -77,9 +75,6 @@ def _build_cinder(network: Network, project_id: str,
                   compiled: bool = False,
                   observability: Optional[Observability] = None,
                   probe_planning: Optional[bool] = None,
-                  transport=None,
-                  fanout: Optional[int] = None,
-                  probe_cache=None,
                   options=None) -> CloudMonitor:
     """The paper's monitor for the Cinder volume scenario.
 
@@ -107,9 +102,7 @@ def _build_cinder(network: Network, project_id: str,
     return CloudMonitor(contracts, provider, operations,
                         enforcing=enforcing, coverage=coverage,
                         observability=observability,
-                        probe_planning=probe_planning,
-                        transport=transport, fanout=fanout,
-                        probe_cache=probe_cache, options=options)
+                        probe_planning=probe_planning, options=options)
 
 
 def _build_nova(network: Network, project_id: str,

@@ -15,7 +15,7 @@ from .campaign import (
     CampaignResult,
     KillRecord,
     MutationCampaign,
-    default_setup,
+    campaign_config,
     measure_probe_rate,
     release2_setup,
 )
@@ -25,10 +25,9 @@ from .chaos import (
     ChaosRun,
     assert_breaker_sequence,
     assert_indeterminate_degradation,
+    chaos_config,
     flaky_program,
-    fleet_setup,
     recoverable_program,
-    resilient_setup,
     run_breaker_sequence,
     run_cache_parity_campaign,
     run_chaos_campaign,
@@ -82,16 +81,15 @@ __all__ = [
     "assert_indeterminate_degradation",
     "assert_sampling_invariants",
     "burst_config",
-    "default_setup",
+    "campaign_config",
+    "chaos_config",
     "flaky_program",
-    "fleet_setup",
     "generous_config",
     "make_burst_trace",
     "make_calm_trace",
     "measure_probe_rate",
     "overload_config",
     "recoverable_program",
-    "resilient_setup",
     "run_burst_campaign",
     "run_cache_parity_campaign",
     "run_chaos_campaign",

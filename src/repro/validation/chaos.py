@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..cloud import PrivateCloud
-from ..core import CloudMonitor, MonitorFleet, RetryPolicy, Verdict
+from ..config import (FleetSection, MonitorConfig, MonitorSection,
+                      ObservabilitySection, ResilienceSection,
+                      build_fleet_from_config, build_from_config)
+from ..core import CloudMonitor, Verdict
 from ..core.auditlog import verdict_to_json
 from ..httpsim import FailN, Flake, FaultProgram, by_path
 from ..workloads import WorkloadRunner, make_workload
@@ -36,128 +37,35 @@ from ..workloads import WorkloadRunner, make_workload
 CHAOS_HOSTS: Tuple[str, ...] = ("cinder", "keystone")
 
 
-def _chaos_policy(policy: Optional[RetryPolicy]) -> RetryPolicy:
-    """The campaign's seeded retry policy (shared by every leg shape)."""
-    return policy or RetryPolicy(max_attempts=3, base_delay=0.05, seed=11)
+def chaos_config(enforcing: bool = False,
+                 failure_threshold: int = 5,
+                 recovery_time: float = 30.0,
+                 fanout: int = 1,
+                 probe_cache: bool = False,
+                 shards: int = 1) -> MonitorConfig:
+    """The chaos deployment as a config: resilient transport, manual clock.
 
-
-def _chaos_config(enforcing: bool = False,
-                  volume_quota: int = 5,
-                  policy: Optional[RetryPolicy] = None,
-                  failure_threshold: int = 5,
-                  recovery_time: float = 30.0,
-                  fanout: int = 1,
-                  probe_cache: bool = False,
-                  shards: int = 1,
-                  router_seed: int = 0):
-    """The chaos deployment (resilient transport, manual clock) as data."""
-    from ..config import (CloudSection, FleetSection, MonitorConfig,
-                          MonitorSection, ObservabilitySection,
-                          ResilienceSection)
-
-    retry = _chaos_policy(policy)
+    The paper setup behind a ResilientTransport (3 attempts, retry
+    jitter seeded with 11) on a ManualClock, so everything is
+    deterministic: backoff waits advance virtual time instead of
+    sleeping.  *fanout* > 1 issues each probe phase's independent probes
+    concurrently, and *shards* > 1 puts a
+    :class:`~repro.core.fleet.MonitorFleet` in front (one shared
+    ManualClock, one independent transport per shard) -- the verdict
+    stream must not change either way, which is what the ``fanout``
+    gate checks.  Stand it up with :func:`repro.config.build_from_config`,
+    or :func:`repro.config.build_fleet_from_config` for a fleet at any
+    width.
+    """
     return MonitorConfig(
-        cloud=CloudSection(volume_quota=volume_quota),
         monitor=MonitorSection(enforcing=enforcing, fanout=fanout,
                                probe_cache=probe_cache),
         observability=ObservabilitySection(clock="manual"),
         resilience=ResilienceSection(
-            enabled=True,
-            max_attempts=retry.max_attempts,
-            base_delay=retry.base_delay,
-            multiplier=retry.multiplier,
-            max_delay=retry.max_delay,
-            jitter=retry.jitter,
-            seed=retry.seed,
+            enabled=True, max_attempts=3, base_delay=0.05, seed=11,
             failure_threshold=failure_threshold,
             recovery_time=recovery_time),
-        fleet=FleetSection(shards=shards, router_seed=router_seed))
-
-
-def _resilient_setup(**kwargs) -> Tuple[PrivateCloud, CloudMonitor]:
-    """The non-deprecated core of :func:`resilient_setup` (internal)."""
-    from ..config import build_from_config
-
-    return build_from_config(_chaos_config(**kwargs))
-
-
-def resilient_setup(enforcing: bool = False,
-                    volume_quota: int = 5,
-                    policy: Optional[RetryPolicy] = None,
-                    failure_threshold: int = 5,
-                    recovery_time: float = 30.0,
-                    fanout: int = 1,
-                    probe_cache: bool = False,
-                    ) -> Tuple[PrivateCloud, CloudMonitor]:
-    """The paper setup with a ResilientTransport under the monitor.
-
-    .. deprecated:: PR8
-       A thin shim over :func:`repro.config.build_from_config` with a
-       ``resilience.enabled`` config; the chaos-parity digests are
-       byte-identical either way.
-
-    Everything is deterministic: ManualClock observability (backoff waits
-    advance virtual time instead of sleeping) and a seeded retry jitter.
-    *fanout* > 1 issues each probe phase's independent probes
-    concurrently -- the verdict stream must not change, which is exactly
-    what the fan-out parity gate checks.
-    """
-    warnings.warn(
-        "resilient_setup is deprecated; describe the deployment with a "
-        "repro.config.MonitorConfig (resilience.enabled: true) and call "
-        "build_from_config",
-        DeprecationWarning, stacklevel=2)
-    return _resilient_setup(enforcing=enforcing, volume_quota=volume_quota,
-                            policy=policy,
-                            failure_threshold=failure_threshold,
-                            recovery_time=recovery_time, fanout=fanout,
-                            probe_cache=probe_cache)
-
-
-def _fleet_setup(shards: int = 4, **kwargs
-                 ) -> Tuple[PrivateCloud, MonitorFleet]:
-    """The non-deprecated core of :func:`fleet_setup` (internal).
-
-    Always a fleet, even at one shard -- callers get the dispatcher and
-    merged views regardless of width.
-    """
-    from ..config import build_fleet_from_config
-
-    return build_fleet_from_config(_chaos_config(shards=shards, **kwargs))
-
-
-def fleet_setup(shards: int = 4,
-                enforcing: bool = False,
-                volume_quota: int = 5,
-                policy: Optional[RetryPolicy] = None,
-                failure_threshold: int = 5,
-                recovery_time: float = 30.0,
-                fanout: int = 1,
-                router_seed: int = 0,
-                probe_cache: bool = False,
-                ) -> Tuple[PrivateCloud, MonitorFleet]:
-    """The paper setup behind a sharded :class:`MonitorFleet`.
-
-    .. deprecated:: PR8
-       A thin shim over :func:`repro.config.build_from_config` with
-       ``fleet.shards`` > 1; the fan-out parity digests are
-       byte-identical either way.
-
-    One shared ManualClock, one shared trace-id allocator (inside the
-    fleet builder), and one *independent* ResilientTransport per shard:
-    breaker and retry state never crosses shards, yet serially dispatched
-    traffic reproduces the single-monitor verdict stream byte for byte.
-    """
-    warnings.warn(
-        "fleet_setup is deprecated; describe the deployment with a "
-        "repro.config.MonitorConfig (fleet.shards > 1) and call "
-        "build_from_config",
-        DeprecationWarning, stacklevel=2)
-    return _fleet_setup(shards=shards, enforcing=enforcing,
-                        volume_quota=volume_quota, policy=policy,
-                        failure_threshold=failure_threshold,
-                        recovery_time=recovery_time, fanout=fanout,
-                        router_seed=router_seed, probe_cache=probe_cache)
+        fleet=FleetSection(shards=shards))
 
 
 def recoverable_program() -> FaultProgram:
@@ -252,8 +160,8 @@ def run_leg(count: int = 40, seed: int = 7,
     *probe_cache* enables the cross-request probe cache -- the rows must
     not change either (the cache-parity gate).
     """
-    cloud, monitor = _resilient_setup(enforcing=enforcing, fanout=fanout,
-                                     probe_cache=probe_cache)
+    cloud, monitor = build_from_config(chaos_config(
+        enforcing=enforcing, fanout=fanout, probe_cache=probe_cache))
     try:
         if fault_factory is not None:
             for host in CHAOS_HOSTS:
@@ -285,8 +193,9 @@ def run_fleet_leg(count: int = 40, seed: int = 7,
     arrival-ordered verdict rows must be byte-identical to the serial
     single-monitor leg -- the fleet half of the parity gate.
     """
-    cloud, fleet = _fleet_setup(shards=shards, enforcing=enforcing,
-                               fanout=fanout, probe_cache=probe_cache)
+    cloud, fleet = build_fleet_from_config(chaos_config(
+        shards=shards, enforcing=enforcing, fanout=fanout,
+        probe_cache=probe_cache))
     try:
         if fault_factory is not None:
             for host in CHAOS_HOSTS:
@@ -364,8 +273,8 @@ def run_breaker_sequence(failure_threshold: int = 2,
     campaign asserts instead of sampling the ``monitor_breaker_state``
     gauge between requests.
     """
-    cloud, monitor = _resilient_setup(failure_threshold=failure_threshold,
-                                     recovery_time=recovery_time)
+    cloud, monitor = build_from_config(chaos_config(
+        failure_threshold=failure_threshold, recovery_time=recovery_time))
     token = cloud.paper_tokens()["alice"]
     url = "http://cmonitor/cmonitor/volumes"
 

@@ -6,19 +6,22 @@ block into ``/-/health``, and turns the health endpoint 503 while any
 alarm stands at critical.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.alerting import CRITICAL, AlarmEngine, AlarmRule, MemorySink
+from repro.config import ObservabilitySection, build_from_config
 from repro.errors import AlarmError
-from repro.obs import ManualClock, Observability
-from repro.validation.campaign import _default_setup
+from repro.validation import campaign_config
 
 MONITOR = "http://cmonitor/cmonitor/volumes"
 
 
 def deterministic_setup(enforcing=False):
-    obs = Observability(clock=ManualClock(tick=1e-4))
-    cloud, monitor = _default_setup(enforcing=enforcing, observability=obs)
+    cloud, monitor = build_from_config(replace(
+        campaign_config(enforcing=enforcing),
+        observability=ObservabilitySection(clock="manual", tick=1e-4)))
     tokens = cloud.paper_tokens()
     clients = {user: cloud.client(token) for user, token in tokens.items()}
     return cloud, monitor, clients

@@ -1,20 +1,23 @@
-"""Building deployments from config alone, byte-identical to the
-legacy setup helpers.
+"""Building deployments from config alone.
 
-The acceptance property for the config path: the same seeded workload
-through a config-built monitor (and a config-built 4-shard fleet)
-produces exactly the verdict rows the deprecated setup shims produce,
-on a clean leg and under recoverable faults.  The ``fanout`` gate in
-``scripts/gates.py`` pins the absolute bytes against the recorded
-baseline; these tests pin the equivalence between the two APIs.
+The acceptance property for the config path: a YAML-shaped document
+builds exactly the deployment the in-code configs of
+:mod:`repro.validation` describe -- the same seeded workload produces
+the same verdict rows through a config-built monitor and a config-built
+4-shard fleet, on a clean leg and under recoverable faults.  The
+``fanout`` gate in ``scripts/gates.py`` pins the absolute bytes against
+the recorded baseline; these tests pin the equivalence between the two
+ways of writing a config down.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from repro.config import (
     MonitorConfig,
+    ObservabilitySection,
     build_alarm_rules,
     build_clock,
     build_from_config,
@@ -26,21 +29,17 @@ from repro.config import (
 from repro.core import CloudMonitor, MonitorFleet
 from repro.core.auditlog import verdict_to_json
 from repro.errors import ConfigError
-from repro.obs import ManualClock, Observability
+from repro.obs import ManualClock
 from repro.httpsim import Request
 from repro.obs.slo import BucketCount, CounterTotal, Linear, ObservationCount
-from repro.validation.chaos import (
-    CHAOS_HOSTS,
-    fleet_setup,
-    recoverable_program,
-    resilient_setup,
-)
+from repro.validation import campaign_config, chaos_config
+from repro.validation.chaos import CHAOS_HOSTS, recoverable_program
 from repro.workloads import WorkloadRunner, make_workload
 
 COUNT, SEED = 16, 7
 
 
-def chaos_config(shards=1):
+def chaos_document(shards=1):
     return MonitorConfig.from_dict({
         "config_version": 1,
         "monitor": {"enforcing": False},
@@ -65,41 +64,44 @@ def run_rows(cloud, deployment, faulted=False):
 
 
 class TestDigestParityWithLegacyShims:
+    """Hand-written documents match the in-code validation configs.
+
+    The test names keep the names of the deleted setup functions that
+    ``chaos_config()`` and ``campaign_config()`` replaced.
+    """
+
     @pytest.mark.parametrize("faulted", [False, True],
                              ids=["clean", "faulted"])
     def test_single_monitor_matches_resilient_setup(self, faulted):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_rows(*resilient_setup(), faulted=faulted)
-        config = run_rows(*build_from_config(chaos_config()),
-                          faulted=faulted)
-        assert config == legacy
+        expected = run_rows(*build_from_config(chaos_config()),
+                            faulted=faulted)
+        document = run_rows(*build_from_config(chaos_document()),
+                            faulted=faulted)
+        assert document == expected
 
     @pytest.mark.parametrize("faulted", [False, True],
                              ids=["clean", "faulted"])
     def test_fleet_matches_fleet_setup(self, faulted):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_rows(*fleet_setup(shards=4), faulted=faulted)
-        config = run_rows(*build_from_config(chaos_config(shards=4)),
-                          faulted=faulted)
-        assert config == legacy
+        expected = run_rows(*build_from_config(chaos_config(shards=4)),
+                            faulted=faulted)
+        document = run_rows(*build_from_config(chaos_document(shards=4)),
+                            faulted=faulted)
+        assert document == expected
 
     def test_fleet_and_single_agree(self):
-        single = run_rows(*build_from_config(chaos_config()))
-        fleet = run_rows(*build_from_config(chaos_config(shards=4)))
+        single = run_rows(*build_from_config(chaos_document()))
+        fleet = run_rows(*build_from_config(chaos_document(shards=4)))
         assert fleet == single
 
     def test_default_setup_shim_warns_and_matches_config(self):
-        from repro.validation import default_setup
-
         audit = MonitorConfig.from_dict({
             "config_version": 1, "monitor": {"enforcing": False},
             "observability": {"clock": "manual"}})
-        with pytest.warns(DeprecationWarning, match="build_from_config"):
-            legacy = run_rows(*default_setup(
-                enforcing=False,
-                observability=Observability(clock=ManualClock())))
-        config = run_rows(*build_from_config(audit))
-        assert config == legacy
+        in_code = replace(campaign_config(),
+                          observability=ObservabilitySection(clock="manual"))
+        for faulted in (False, True):
+            assert run_rows(*build_from_config(audit), faulted=faulted) \
+                == run_rows(*build_from_config(in_code), faulted=faulted)
 
 
 class TestBuildPieces:
@@ -167,15 +169,10 @@ class TestBuildFromConfig:
         monitor.close()
 
     def test_shards_build_a_fleet(self):
-        cloud, fleet = build_from_config(chaos_config(shards=4))
+        cloud, fleet = build_from_config(chaos_document(shards=4))
         assert isinstance(fleet, MonitorFleet)
         assert len(fleet.shards) == 4
         fleet.close()
-
-    def test_fleet_rejects_external_observability(self):
-        with pytest.raises(ConfigError):
-            build_from_config(chaos_config(shards=4),
-                              observability=Observability())
 
     def test_invalid_config_rejected(self):
         config = MonitorConfig.from_dict({

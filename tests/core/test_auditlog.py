@@ -6,18 +6,19 @@ import json
 import pytest
 
 from repro.cloud import PrivateCloud, paper_mutants
+from repro.config import build_from_config
 from repro.core import ProbeCache, read_log, write_log
 from repro.core.auditlog import verdict_from_json, verdict_to_json
 from repro.core.monitor import CloudStateProvider, MonitorVerdict
 from repro.uml import Trigger
 from repro.errors import MonitorError
-from repro.validation import TestOracle, default_setup, localize
+from repro.validation import TestOracle, campaign_config, localize
 
 MONITOR = "http://cmonitor/cmonitor/volumes"
 
 
 def run_session(mutant=None):
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(campaign_config())
     if mutant is not None:
         mutant.apply(cloud)
     TestOracle(cloud, monitor).run()

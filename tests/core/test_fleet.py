@@ -5,10 +5,11 @@ import json
 
 import pytest
 
+from repro.config import build_fleet_from_config
 from repro.core import MonitorFleet, ShardRouter
 from repro.errors import MonitorError
 from repro.httpsim import Request
-from repro.validation.chaos import fleet_setup
+from repro.validation.chaos import chaos_config
 from repro.workloads import WorkloadRunner, make_workload
 
 URL = "http://cmonitor/cmonitor/volumes"
@@ -27,7 +28,7 @@ class TestConstruction:
             MonitorFleet([])
 
     def test_rejects_router_shard_mismatch(self):
-        cloud, fleet = fleet_setup(shards=2)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=2))
         try:
             with pytest.raises(MonitorError):
                 MonitorFleet(fleet.shards, router=ShardRouter(3))
@@ -35,7 +36,8 @@ class TestConstruction:
             fleet.close()
 
     def test_context_manager_closes_schedulers(self):
-        cloud, fleet = fleet_setup(shards=2, fanout=4)
+        cloud, fleet = build_fleet_from_config(chaos_config(
+            shards=2, fanout=4))
         with fleet:
             token = cloud.paper_tokens()["alice"]
             response = fleet.handle(
@@ -47,7 +49,7 @@ class TestConstruction:
 
 class TestDispatch:
     def test_dispatched_counts_account_for_every_request(self):
-        cloud, fleet = fleet_setup(shards=3)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=3))
         try:
             run_workload(fleet, cloud, count=12)
         finally:
@@ -56,7 +58,7 @@ class TestDispatch:
         assert len(fleet.log) == 12
 
     def test_shard_for_agrees_with_where_verdicts_land(self):
-        cloud, fleet = fleet_setup(shards=3)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=3))
         try:
             tokens = cloud.paper_tokens()
             for token in tokens.values():
@@ -72,7 +74,7 @@ class TestDispatch:
 
 class TestMergedViews:
     def test_stats_shape_and_totals(self):
-        cloud, fleet = fleet_setup(shards=2)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=2))
         try:
             run_workload(fleet, cloud, count=10)
         finally:
@@ -85,7 +87,7 @@ class TestMergedViews:
         assert stats["violations"] == len(fleet.violations())
 
     def test_merged_metrics_sum_shard_counters(self):
-        cloud, fleet = fleet_setup(shards=3)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=3))
         try:
             run_workload(fleet, cloud, count=12)
         finally:
@@ -97,7 +99,7 @@ class TestMergedViews:
         assert merged.total("monitor_requests_total") == per_shard > 0
 
     def test_slo_report_covers_the_merged_traffic(self):
-        cloud, fleet = fleet_setup(shards=2)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=2))
         try:
             run_workload(fleet, cloud, count=10)
         finally:
@@ -109,7 +111,7 @@ class TestMergedViews:
 
 class TestBatchedPersistence:
     def test_flush_audit_writes_each_row_once_in_arrival_order(self):
-        cloud, fleet = fleet_setup(shards=2)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=2))
         try:
             run_workload(fleet, cloud, count=8)
             first = io.StringIO()
@@ -127,7 +129,7 @@ class TestBatchedPersistence:
         assert ids == sorted(ids)
 
     def test_flush_audit_appends_to_a_path(self, tmp_path):
-        cloud, fleet = fleet_setup(shards=2)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=2))
         destination = tmp_path / "audit.jsonl"
         try:
             run_workload(fleet, cloud, count=6)
@@ -140,7 +142,7 @@ class TestBatchedPersistence:
         assert len(lines) == 9
 
     def test_flush_events_tags_records_with_their_shard(self):
-        cloud, fleet = fleet_setup(shards=2)
+        cloud, fleet = build_fleet_from_config(chaos_config(shards=2))
         try:
             run_workload(fleet, cloud, count=8)
             sink = io.StringIO()

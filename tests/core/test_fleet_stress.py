@@ -17,6 +17,7 @@ import threading
 from collections import Counter
 
 from repro.cloud import PrivateCloud
+from repro.config import build_fleet_from_config
 from repro.core import MonitorFleet, SingleFlight
 from repro.core.fleet import tenant_from_token
 from repro.httpsim import Request
@@ -24,7 +25,7 @@ from repro.obs import Observability
 from repro.obs.clock import ManualClock
 from repro.obs.events import EventLog
 from repro.obs.tracing import Tracer
-from repro.validation.chaos import fleet_setup
+from repro.validation.chaos import chaos_config
 
 THREADS = 8
 ROUNDS = 25
@@ -256,7 +257,8 @@ class TestShardUnderContention:
         # threads: every request must produce exactly one verdict, the
         # shared allocator must mint gap-free trace ids, and the event
         # ring must stay sequentially coherent.
-        cloud, fleet = fleet_setup(shards=1, fanout=4)
+        cloud, fleet = build_fleet_from_config(chaos_config(
+            shards=1, fanout=4))
         tokens = sorted(cloud.paper_tokens().values())
         try:
             def worker(index):

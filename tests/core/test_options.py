@@ -1,5 +1,5 @@
-"""Typed monitor options and the one-release deprecation of the
-ad-hoc ``fanout=`` / ``probe_cache=`` keywords."""
+"""Typed monitor options: the one value that shapes a monitor or fleet,
+with ``enforcing=`` / ``probe_planning=`` as the only keyword overrides."""
 
 import warnings
 
@@ -10,6 +10,7 @@ from repro.core import (
     CloudMonitor,
     MonitorFleet,
     MonitorOptions,
+    ProbeCache,
     ResilienceOptions,
     RetryPolicy,
     resolve_options,
@@ -55,6 +56,12 @@ class TestMonitorOptions:
         with pytest.raises(MonitorError):
             MonitorOptions(fanout=0)
 
+    def test_probe_cache_is_a_switch(self):
+        # Every monitor builds its own ProbeCache, so an instance (which
+        # a fleet would hand to every shard) is refused.
+        with pytest.raises(MonitorError, match="probe_cache"):
+            MonitorOptions(probe_cache=ProbeCache())
+
 
 class TestResolveOptions:
     def test_no_arguments_is_defaults_without_warning(self):
@@ -70,33 +77,17 @@ class TestResolveOptions:
         assert resolved.enforcing is False
         assert resolved.probe_planning is False
 
-    def test_probe_cache_false_never_warns(self):
-        # False is the default value, not a request for a cache; legacy
-        # call sites passing it explicitly must stay silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_options(probe_cache=False)
-        assert resolved.probe_cache is False
-
-    def test_fanout_keyword_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="fanout"):
-            resolved = resolve_options(fanout=3)
-        assert resolved.fanout == 3
-
-    def test_probe_cache_keyword_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="probe_cache"):
-            resolved = resolve_options(probe_cache=True)
-        assert resolved.probe_cache is True
-
     def test_keywords_override_the_base_options(self):
         base = MonitorOptions(enforcing=False, fanout=2)
-        with pytest.warns(DeprecationWarning):
-            resolved = resolve_options(base, fanout=4)
-        assert resolved.fanout == 4
+        resolved = resolve_options(base, probe_planning=False)
+        assert resolved.probe_planning is False
         assert resolved.enforcing is False  # untouched fields survive
+        assert resolved.fanout == 2
 
 
 class TestConstructorDeprecations:
+    """The constructors take ``options=`` and warn about nothing."""
+
     def test_monitor_accepts_options_silently(self):
         cloud = PrivateCloud.paper_setup()
         with warnings.catch_warnings():
@@ -106,22 +97,6 @@ class TestConstructorDeprecations:
                 options=MonitorOptions(enforcing=False, fanout=2))
         assert monitor.fanout == 2
         monitor.close()
-
-    def test_monitor_fanout_keyword_warns(self):
-        cloud = PrivateCloud.paper_setup()
-        with pytest.warns(DeprecationWarning, match="fanout"):
-            monitor = CloudMonitor.for_service(
-                "cinder", cloud.network, "myProject", fanout=2)
-        assert monitor.fanout == 2
-        monitor.close()
-
-    def test_fleet_probe_cache_keyword_warns(self):
-        cloud = PrivateCloud.paper_setup()
-        with pytest.warns(DeprecationWarning, match="probe_cache"):
-            fleet = MonitorFleet.for_service(
-                "cinder", cloud.network, "myProject", shards=2,
-                probe_cache=True)
-        fleet.close()
 
     def test_fleet_options_propagate_to_every_shard(self):
         cloud = PrivateCloud.paper_setup()

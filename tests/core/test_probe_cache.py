@@ -8,10 +8,17 @@ import threading
 
 import pytest
 
-from repro.core import MethodContract, MonitorFleet, ProbeCache
+from repro.config import build_from_config
+from repro.core import (
+    MethodContract,
+    MonitorFleet,
+    MonitorOptions,
+    ProbeCache,
+)
+from repro.errors import MonitorError
 from repro.validation import (
     TestOracle,
-    default_setup,
+    campaign_config,
     measure_probe_rate,
     recoverable_program,
     run_cache_parity_campaign,
@@ -84,9 +91,9 @@ def _verdict_rows(monitor):
 class TestMonitorWiring:
     def test_cached_monitor_matches_uncached_verdicts(self):
         battery = standard_battery()
-        cloud_a, plain = default_setup()
+        cloud_a, plain = build_from_config(campaign_config())
         TestOracle(cloud_a, plain).run(battery)
-        cloud_b, cached = default_setup(probe_cache=True)
+        cloud_b, cached = build_from_config(campaign_config(probe_cache=True))
         TestOracle(cloud_b, cached).run(battery)
         assert _verdict_rows(cached) == _verdict_rows(plain)
         assert cached.provider.probe_count < plain.provider.probe_count
@@ -96,13 +103,13 @@ class TestMonitorWiring:
         assert stats["invalidations"] > 0
 
     def test_hits_metric_family_is_exported(self):
-        cloud, monitor = default_setup(probe_cache=True)
+        cloud, monitor = build_from_config(campaign_config(probe_cache=True))
         TestOracle(cloud, monitor).run(standard_battery())
         total = monitor.obs.metrics.total("monitor_probe_cache_hits_total")
         assert total == monitor.probe_cache.stats()["hits"] > 0
 
     def test_mutation_invalidates_dirty_roots(self):
-        cloud, monitor = default_setup(probe_cache=True)
+        cloud, monitor = build_from_config(campaign_config(probe_cache=True))
         oracle = TestOracle(cloud, monitor)
         battery = standard_battery()
         # Find the first mutation step; everything before is GET-only.
@@ -127,18 +134,24 @@ class TestMonitorWiring:
         from repro.cloud import PrivateCloud
 
         cloud = PrivateCloud.paper_setup()
-        fleet = MonitorFleet.for_service("cinder", cloud.network,
-                                         "myProject", shards=2,
-                                         probe_cache=True)
+        fleet = MonitorFleet.for_service(
+            "cinder", cloud.network, "myProject", shards=2,
+            options=MonitorOptions(probe_cache=True))
         caches = [m.probe_cache for m in fleet.shards]
         assert all(c is not None for c in caches)
         assert caches[0] is not caches[1]
         assert all(entry["probe_cache"] is not None
                    for entry in fleet.stats()["per_shard"])
         fleet.close()
+        # An instance in the options would be handed to every shard, so
+        # the options refuse anything but the on/off switch.
+        with pytest.raises(MonitorError, match="probe_cache"):
+            MonitorFleet.for_service(
+                "cinder", cloud.network, "myProject", shards=2,
+                options=MonitorOptions(probe_cache=ProbeCache()))
 
     def test_cache_off_by_default(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(campaign_config())
         assert monitor.probe_cache is None
         assert monitor.provider.probe_cache is None
 

@@ -6,6 +6,8 @@ from repro.cloud import PrivateCloud
 from repro.core import (
     CircuitBreaker,
     CloudMonitor,
+    MonitorOptions,
+    ResilienceOptions,
     ResilientTransport,
     RetryPolicy,
     Verdict,
@@ -231,15 +233,12 @@ class TestTransportEvents:
         assert event.trace_id == "t-000042"
 
 
-def _resilient_monitor(cloud, policy=None, **kwargs):
-    obs = Observability(clock=ManualClock())
-    transport = ResilientTransport(
-        cloud.network,
-        policy=policy or RetryPolicy(max_attempts=2, base_delay=0.01),
-        **kwargs)
-    monitor = CloudMonitor.for_service("cinder", cloud.network, "myProject",
-                                       enforcing=True, observability=obs,
-                                       transport=transport)
+def _resilient_monitor(cloud):
+    options = MonitorOptions(resilience=ResilienceOptions(
+        max_attempts=2, base_delay=0.01))
+    monitor = CloudMonitor.for_service(
+        "cinder", cloud.network, "myProject", enforcing=True,
+        observability=Observability(clock=ManualClock()), options=options)
     cloud.network.register("cmonitor", monitor.app)
     return monitor
 

@@ -8,15 +8,16 @@ unreachable-state semantics instead of crashing or mis-flagging.
 
 import pytest
 
+from repro.config import build_from_config
 from repro.core import Verdict
 from repro.core.monitor import CloudStateProvider
 from repro.httpsim import Response
-from repro.validation import default_setup
+from repro.validation import campaign_config
 
 
 @pytest.fixture()
 def setup():
-    cloud, monitor = default_setup(enforcing=True)
+    cloud, monitor = build_from_config(campaign_config(enforcing=True))
     tokens = cloud.paper_tokens()
     clients = {name: cloud.client(token) for name, token in tokens.items()}
     return cloud, monitor, clients
@@ -81,7 +82,7 @@ class TestMalformedProbeBodies:
 
 class TestAuditModeUnderFaults:
     def test_audit_mode_garbage_probe_no_false_violation(self):
-        cloud, monitor = default_setup(enforcing=False)
+        cloud, monitor = build_from_config(campaign_config(enforcing=False))
         tokens = cloud.paper_tokens()
         bob = cloud.client(tokens["bob"])
         # Only the monitor's probe path is mangled; the forwarded POST
@@ -102,7 +103,7 @@ class TestAuditModeUnderFaults:
         assert monitor.log[-1].verdict == Verdict.POST_VIOLATION
 
     def test_flaky_cloud_intermittent(self):
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(campaign_config(enforcing=True))
         tokens = cloud.paper_tokens()
         bob = cloud.client(tokens["bob"])
         calls = {"n": 0}

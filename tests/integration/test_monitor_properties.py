@@ -9,7 +9,8 @@ yield zero violation verdicts.  Hypothesis drives random interleavings.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.validation import default_setup
+from repro.config import build_from_config
+from repro.validation import campaign_config
 
 USERS = ("alice", "bob", "carol")
 
@@ -53,7 +54,7 @@ class TestNoFalsePositives:
     @given(_steps)
     @settings(max_examples=40, deadline=None)
     def test_random_interleavings_never_violate(self, steps):
-        cloud, monitor = default_setup()  # audit mode
+        cloud, monitor = build_from_config(campaign_config())  # audit mode
         tokens = cloud.paper_tokens()
         clients = {user: cloud.client(token)
                    for user, token in tokens.items()}
@@ -66,7 +67,7 @@ class TestNoFalsePositives:
     @given(_steps)
     @settings(max_examples=20, deadline=None)
     def test_enforcing_mode_no_violations_and_no_shield_gaps(self, steps):
-        cloud, monitor = default_setup(enforcing=True)
+        cloud, monitor = build_from_config(campaign_config(enforcing=True))
         tokens = cloud.paper_tokens()
         clients = {user: cloud.client(token)
                    for user, token in tokens.items()}

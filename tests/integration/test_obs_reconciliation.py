@@ -17,19 +17,22 @@ decisions may differ between the two runs only when one side forced.
 """
 
 import collections
+from dataclasses import replace
 
 import pytest
 
-from repro.obs import ManualClock, Observability, SAMPLED_COUNTER
-from repro.validation import default_setup
+from repro.config import ObservabilitySection, build_from_config
+from repro.obs import SAMPLED_COUNTER
+from repro.validation import campaign_config
 from repro.workloads import WorkloadRunner, make_workload
 
 SEEDS = (7, 42, 1337)
 
 
 def run_workload(seed, count=40, enforcing=False):
-    obs = Observability(clock=ManualClock(tick=1e-4))
-    cloud, monitor = default_setup(enforcing=enforcing, observability=obs)
+    cloud, monitor = build_from_config(replace(
+        campaign_config(enforcing=enforcing),
+        observability=ObservabilitySection(clock="manual", tick=1e-4)))
     runner = WorkloadRunner(cloud, monitor)
     runner.execute(make_workload(count, seed=seed), monitored=True)
     return monitor

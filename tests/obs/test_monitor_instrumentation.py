@@ -5,11 +5,12 @@ in these tests is an exact equality, not a tolerance check.
 """
 
 import json
+from dataclasses import replace
 
 from repro.cloud import PrivateCloud
+from repro.config import ObservabilitySection, build_from_config
 from repro.core import CloudMonitor
-from repro.obs import ManualClock, Observability
-from repro.validation import TestOracle, default_setup
+from repro.validation import TestOracle, campaign_config
 
 MONITOR = "http://cmonitor/cmonitor/volumes"
 
@@ -18,8 +19,9 @@ STAGES = ("pre_probe", "pre_eval", "snapshot", "forward",
 
 
 def deterministic_setup(enforcing=False, tick=1e-4):
-    obs = Observability(clock=ManualClock(tick=tick))
-    cloud, monitor = default_setup(enforcing=enforcing, observability=obs)
+    cloud, monitor = build_from_config(replace(
+        campaign_config(enforcing=enforcing),
+        observability=ObservabilitySection(clock="manual", tick=tick)))
     tokens = cloud.paper_tokens()
     clients = {user: cloud.client(token) for user, token in tokens.items()}
     return cloud, monitor, clients

@@ -101,9 +101,10 @@ class TestLocalize:
     def test_localize_from_log(self, capsys, tmp_path):
         from repro.cloud import paper_mutants
         from repro.core import write_log
-        from repro.validation import TestOracle, default_setup
+        from repro.config import build_from_config
+        from repro.validation import TestOracle, campaign_config
 
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(campaign_config())
         mutant = paper_mutants()[0]
         mutant.apply(cloud)
         TestOracle(cloud, monitor).run()
@@ -116,9 +117,10 @@ class TestLocalize:
 
     def test_localize_clean_log(self, capsys, tmp_path):
         from repro.core import write_log
-        from repro.validation import TestOracle, default_setup
+        from repro.config import build_from_config
+        from repro.validation import TestOracle, campaign_config
 
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(campaign_config())
         TestOracle(cloud, monitor).run()
         logfile = str(tmp_path / "audit.jsonl")
         write_log(monitor.log, logfile)

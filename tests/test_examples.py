@@ -3,7 +3,8 @@
 Each script asserts its own story (a caught bug, a kill matrix, a
 blocked DELETE) and exits non-zero when an assertion fails, so running
 them in a fresh interpreter is a smoke test of the public API they
-teach.
+teach.  Deprecation warnings are errors: an example must teach the
+current API, not a deprecated one.
 """
 
 import os
@@ -27,8 +28,8 @@ def test_example_runs_to_the_end(script):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [entry for entry in
                                [env.get("PYTHONPATH")] if entry])
-    result = subprocess.run([sys.executable, str(script)], cwd=ROOT,
-                            env=env, capture_output=True, text=True,
-                            timeout=120)
+    result = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", str(script)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, (result.stdout[-2000:]
                                     + result.stderr[-2000:])

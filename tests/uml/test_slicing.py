@@ -140,8 +140,8 @@ class TestCombinedSlicing:
 
         def setup():
             cloud = PrivateCloud.paper_setup()
-            monitor = CloudMonitor.for_cinder(
-                cloud.network, "myProject", machine=machine,
+            monitor = CloudMonitor.for_service(
+                "cinder", cloud.network, "myProject", machine=machine,
                 diagram=diagram, enforcing=False)
             cloud.network.register("cmonitor", monitor.app)
             return cloud, monitor

@@ -3,24 +3,25 @@
 import pytest
 
 from repro.cloud import ScopeLeakMutant, paper_mutants
+from repro.config import build_from_config
 from repro.validation import (
     MutationCampaign,
     TestOracle,
-    default_setup,
+    campaign_config,
     session_report,
 )
 
 
 @pytest.fixture(scope="module")
 def clean_monitor():
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(campaign_config())
     TestOracle(cloud, monitor).run()
     return monitor
 
 
 @pytest.fixture(scope="module")
 def violating_monitor():
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(campaign_config())
     paper_mutants()[0].apply(cloud)
     TestOracle(cloud, monitor).run()
     return monitor
@@ -51,7 +52,7 @@ class TestMonitorSection:
         assert "'volume:delete'" in report
 
     def test_uncovered_requirements_called_out(self):
-        cloud, monitor = default_setup()
+        cloud, monitor = build_from_config(campaign_config())
         # Only run the first battery step: most requirements untouched.
         from repro.validation import standard_battery
 

@@ -4,8 +4,9 @@ import io
 
 import pytest
 
+from repro.config import build_from_config
 from repro.errors import ValidationError
-from repro.validation import default_setup
+from repro.validation import campaign_config
 from repro.workloads import (RecordingClient, Trace, TraceEntry,
                              bursty_arrivals, poisson_arrivals,
                              uniform_arrivals)
@@ -13,7 +14,7 @@ from repro.workloads import (RecordingClient, Trace, TraceEntry,
 
 @pytest.fixture()
 def setup():
-    cloud, monitor = default_setup()
+    cloud, monitor = build_from_config(campaign_config())
     tokens = cloud.paper_tokens()
     clients = {name: cloud.client(token) for name, token in tokens.items()}
     return cloud, monitor, clients
@@ -85,7 +86,7 @@ class TestReplay:
         trace.record("carol", "GET", "/cmonitor/volumes")
         first = [r.status_code for r in trace.replay(clients, "cmonitor")]
 
-        cloud2, monitor2 = default_setup()
+        cloud2, monitor2 = build_from_config(campaign_config())
         tokens2 = cloud2.paper_tokens()
         clients2 = {name: cloud2.client(token)
                     for name, token in tokens2.items()}
@@ -189,7 +190,7 @@ class TestRecordingClient:
         recording.post("http://cmonitor/cmonitor/volumes", {"volume": {}})
         recording.get("http://cmonitor/cmonitor/volumes")
 
-        cloud2, monitor2 = default_setup()
+        cloud2, monitor2 = build_from_config(campaign_config())
         tokens2 = cloud2.paper_tokens()
         clients2 = {name: cloud2.client(token)
                     for name, token in tokens2.items()}
@@ -264,7 +265,7 @@ class TestConcurrentReplay:
         cloud, monitor, clients = setup
         trace = self.make_trace()
         serial = trace.replay(clients, "cmonitor")
-        cloud2, monitor2 = default_setup()
+        cloud2, monitor2 = build_from_config(campaign_config())
         clients2 = {name: cloud2.client(token)
                     for name, token in cloud2.paper_tokens().items()}
         threaded = trace.replay(clients2, "cmonitor", concurrency=3)
