@@ -9,7 +9,7 @@ pytest-benchmark timings quantify the costs the paper only argues about
 import pytest
 
 from repro.config import build_from_config
-from repro.core import CloudMonitor, cinder_behavior_model, cinder_resource_model
+from repro.core import cinder_behavior_model, cinder_resource_model
 from repro.validation import campaign_config
 
 

@@ -9,7 +9,6 @@ assembled from the same models dispatches requests.
 import ast
 
 from repro.config import build_from_config
-from repro.core import CloudMonitor
 from repro.core.codegen import generate_project
 from repro.rbac import SecurityRequirementsTable
 from repro.validation import campaign_config

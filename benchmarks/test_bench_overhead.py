@@ -11,7 +11,6 @@ through the monitor; the bench reports the per-request latency of each path
 snapshot size per method, which must stay tens of bytes.
 """
 
-import os
 import time
 
 from repro.config import build_from_config
@@ -24,9 +23,6 @@ from repro.workloads import (
 )
 
 WORKLOAD = make_workload(60, seed=42)
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRAJECTORY_PATH = os.path.join(REPO_ROOT, "BENCH_scaling.json")
 
 
 def test_bench_overhead_direct(benchmark):
@@ -136,7 +132,7 @@ def test_bench_overhead_probe_planning(benchmark):
     assert planned["skipped"] > 0
 
 
-def test_bench_overhead_sampling_ladder(benchmark):
+def test_bench_overhead_sampling_ladder(benchmark, tmp_path):
     """The obs-layer row: 1x/10x/100x volume through a sampled fleet.
 
     Sampling exists so the observability layer's cost stays bounded as
@@ -149,8 +145,9 @@ def test_bench_overhead_sampling_ladder(benchmark):
       fleet runs on a manual clock, so the histogram counts operations,
       not host speed -- per-request obs cost must not grow with volume).
 
-    The ladder entry is appended to ``BENCH_scaling.json`` so the
-    overhead story stays visible across commits.
+    The ladder entry is appended to a trajectory file under
+    ``tmp_path`` and must read back; the tracked ``BENCH_scaling.json``
+    is never rewritten.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     entry = measure_overhead_ladder(base=16, factors=(1, 10, 100))
@@ -179,7 +176,7 @@ def test_bench_overhead_sampling_ladder(benchmark):
     assert entry["p99_ratio"] <= 2.0, \
         "p99 obs overhead grew with volume"
 
-    trajectory = append_trajectory(TRAJECTORY_PATH,
+    trajectory = append_trajectory(str(tmp_path / "BENCH_scaling.json"),
                                    {"timestamp": entry["timestamp"],
                                     "obs_overhead": entry})
     assert trajectory["entries"][-1]["obs_overhead"]["p99_ratio"] \

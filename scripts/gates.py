@@ -36,6 +36,9 @@ COUNT = 40
 SEED = 7
 SHARDS = 4
 FANOUT = 4
+#: Real seconds every chaos-host request sleeps on the fan-out legs:
+#: slow enough that the adaptive scheduler overlaps their probes.
+FANOUT_LATENCY = 0.002
 
 #: The cached probe rate must stay strictly below the historical
 #: uncached budget -- the cache is pointless (and suspect) otherwise.
@@ -121,7 +124,8 @@ def cache_parity():
 
 def fanout():
     """Fan-out and the sharded fleet change no verdict, clean or
-    faulted."""
+    faulted; the fan-out legs run behind a slow substrate, so their
+    probes really overlap."""
     from repro.validation import (ChaosReport, flaky_program,
                                   recoverable_program, run_fleet_leg,
                                   run_leg, unrecoverable_program)
@@ -132,21 +136,29 @@ def fanout():
                           ("flaky", flaky_program)):
         reference = run_leg(COUNT, SEED, faults)
         legs = {
-            "fanout": run_leg(COUNT, SEED, faults, fanout=FANOUT),
+            "fanout": run_leg(COUNT, SEED, faults, fanout=FANOUT,
+                              latency=FANOUT_LATENCY),
             "fleet": run_fleet_leg(COUNT, SEED, faults, shards=SHARDS),
             "fleet+fanout": run_fleet_leg(COUNT, SEED, faults,
-                                          shards=SHARDS, fanout=FANOUT),
+                                          shards=SHARDS, fanout=FANOUT,
+                                          latency=FANOUT_LATENCY),
         }
         for leg_name, leg in legs.items():
             _require_parity(ChaosReport(reference, leg), label, leg_name)
+            require(leg_name == "fleet" or leg.dispatched > 0,
+                    f"the {label} {leg_name} leg never reached the pool; "
+                    "its parity is vacuous")
         serial[label] = reference
     # Fail-once is fully recoverable, so its stream equals the clean
     # one; flaky faults may exhaust retries, so only the legs agree.
     _require_parity(ChaosReport(serial["clean"], serial["fail-once"]),
                     "serial", "recoverable faults")
+    # No dispatch requirement here: the breakers open after 5 failures
+    # and then fail fast, so no probe window ever fills with slow sends.
     dead = run_fleet_leg(count=10, seed=SEED,
                          fault_factory=unrecoverable_program,
-                         shards=SHARDS, fanout=FANOUT)
+                         shards=SHARDS, fanout=FANOUT,
+                         latency=FANOUT_LATENCY)
     verdicts = {json.loads(row)["verdict"] for row in dead.rows}
     require(verdicts == {"indeterminate"},
             f"a dead substrate through the fleet gave {sorted(verdicts)}")

@@ -703,9 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "run, or --bench for the throughput ladder")
     fleet.add_argument("--shards", type=int, default=4,
                        help="number of monitor shards (default 4)")
-    fleet.add_argument("--fanout", type=int, default=1,
-                       help="concurrent probe fan-out width per shard "
-                            "(default 1 = serial probes)")
+    fleet.add_argument("--fanout", type=int, default=4,
+                       help="probe fan-out width per shard (default 4: "
+                            "a phase overlaps its root probes only when "
+                            "the last 8 probes each took >= 1 ms; "
+                            "1 never overlaps)")
     fleet.add_argument("--requests", type=int, default=40,
                        help="workload size (default 40)")
     fleet.add_argument("--seed", type=int, default=7,

@@ -15,7 +15,7 @@ from ``options.resilience`` without moving a digest.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, List, Mapping, Optional, Tuple, Union
 
 from ..alerting import AlarmRule, NotificationSink, build_sink
 from ..cloud import PrivateCloud

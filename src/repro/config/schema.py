@@ -182,7 +182,7 @@ class MonitorSection:
 
     enforcing: bool = True
     probe_planning: bool = True
-    fanout: int = 1
+    fanout: int = 4
     probe_cache: bool = False
 
 

@@ -260,19 +260,19 @@ class CloudMonitor:
         #: overload controls are off); thread-local like the counter
         #: baselines, read by the wide event.
         self._request_mode = threading.local()
-        #: Requested probe fan-out width.  At 1 (the default) probing is
-        #: serial; above 1 the provider gets a
-        #: :class:`~repro.core.scheduler.ProbeScheduler` sized to
-        #: ``min(fanout, widest probe plan)`` -- wider could never be
-        #: fully busy -- and each probe phase overlaps its independent
-        #: root probes.  Outcome merging is submission-ordered, so the
-        #: verdict stream is byte-identical to the serial path.
+        #: Probe fan-out width.  At 1 probing is always serial and
+        #: untimed; above 1 (4 by default) the provider gets a
+        #: :class:`~repro.core.scheduler.ProbeScheduler` of that many
+        #: workers, and a probe phase overlaps its independent root
+        #: probes only while recent probe sends are slow (see
+        #: :data:`~repro.core.scheduler.OVERLAP_AFTER`).
+        #: Outcome merging is submission-ordered, so the verdict stream
+        #: is byte-identical to the serial path.
         self.fanout = max(1, int(self.options.fanout))
         self.scheduler: Optional[ProbeScheduler] = None
         if self.fanout > 1:
-            self.scheduler = ProbeScheduler(
-                width=min(self.fanout, self._max_plan_width()),
-                events=self.obs.events)
+            self.scheduler = ProbeScheduler(width=self.fanout,
+                                            events=self.obs.events)
             self.provider.scheduler = self.scheduler
         #: Appends to the verdict log must not tear under a sharded or
         #: stress deployment driving one monitor from many threads.
@@ -306,14 +306,6 @@ class CloudMonitor:
         from .scenarios import build_scenario
 
         return build_scenario(name, network, project_id, **kwargs)
-
-    def _max_plan_width(self) -> int:
-        """The widest probe phase across this monitor's contracts."""
-        if not self.probe_planning:
-            return len(tuple(self.provider.roots)) or 1
-        widths = [contract.probe_plan(tuple(self.provider.roots)).width
-                  for contract in self.contracts.values()]
-        return max(widths, default=1)
 
     def close(self) -> None:
         """Release the probe scheduler's worker pool (if any)."""

@@ -49,20 +49,6 @@ class ResilienceOptions:
     failure_threshold: int = 5
     recovery_time: float = 30.0
 
-    @classmethod
-    def from_policy(cls, policy: RetryPolicy,
-                    failure_threshold: int = 5,
-                    recovery_time: float = 30.0) -> "ResilienceOptions":
-        """Capture an existing :class:`RetryPolicy` as options."""
-        return cls(max_attempts=policy.max_attempts,
-                   base_delay=policy.base_delay,
-                   multiplier=policy.multiplier,
-                   max_delay=policy.max_delay,
-                   jitter=policy.jitter,
-                   seed=policy.seed,
-                   failure_threshold=failure_threshold,
-                   recovery_time=recovery_time)
-
     def retry_policy(self) -> RetryPolicy:
         """The :class:`RetryPolicy` these options describe."""
         return RetryPolicy(max_attempts=self.max_attempts,
@@ -90,7 +76,9 @@ class MonitorOptions:
       mode) instead of audit mode;
     * ``probe_planning`` -- demand-driven probe plans (the default)
       versus the paper's probe-everything rounds;
-    * ``fanout`` -- concurrent probe fan-out width (1 = serial);
+    * ``fanout`` -- concurrent probe fan-out width, 4 by default: a
+      probe phase overlaps only once the last 8 probe sends each took
+      at least 1 ms (see :mod:`repro.core.scheduler`); 1 never overlaps;
     * ``probe_cache`` -- cross-request probe cache: ``True`` gives the
       monitor its own :class:`~repro.core.probecache.ProbeCache` (so
       every fleet shard owns one), ``False`` keeps it off;
@@ -109,7 +97,7 @@ class MonitorOptions:
 
     enforcing: bool = True
     probe_planning: bool = True
-    fanout: int = 1
+    fanout: int = 4
     probe_cache: bool = False
     resilience: Optional[ResilienceOptions] = None
     deadline: Optional[DeadlineOptions] = None

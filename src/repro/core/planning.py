@@ -91,14 +91,6 @@ class ProbePlan:
         """Bindings the post-probe round must provide."""
         return self.post_roots
 
-    @property
-    def width(self) -> int:
-        """The widest probe phase: how many independent root probes one
-        round of this plan can issue at once.  The probe scheduler sizes
-        its worker pool to the widest plan it will run -- more threads
-        than this can never be busy simultaneously."""
-        return max(len(self.pre_phase_roots), len(self.post_phase_roots), 1)
-
     def probe_cost(self, costs: Optional[Mapping[str, int]] = None) -> int:
         """Planned GET probes for one monitored request under this plan.
 

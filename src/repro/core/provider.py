@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
+from time import perf_counter
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
@@ -95,11 +96,13 @@ class CloudStateProvider:
         #: retries and circuit breaking over it.
         self.transport = transport if transport is not None else network
         #: Optional :class:`~repro.core.scheduler.ProbeScheduler`; when
-        #: set (the owning monitor installs one for ``fanout > 1``), each
-        #: probe phase issues its independent root probes concurrently.
+        #: set (the owning monitor installs one for ``fanout > 1``), every
+        #: probe send is timed into it, and a phase whose recent probes
+        #: were slow issues its independent root probes concurrently.
         self.scheduler: Optional[ProbeScheduler] = None
         #: probe_count is read against per-request baselines, so its
-        #: read-modify-write must not tear under concurrent fan-out.
+        #: read-modify-write must not tear under concurrent fan-out; the
+        #: scheduler's timing ring is written under the same lock.
         self._count_lock = threading.Lock()
         #: Thread-local state (unbound roots of the *calling thread's*
         #: last bindings call): concurrent requests through one provider
@@ -182,23 +185,33 @@ class CloudStateProvider:
     def _send_probe(self, token: str, url: str,
                     extra_headers: Optional[Dict[str, str]] = None,
                     ) -> Response:
-        """The uncached probe send: count, GET, reject transport loss."""
+        """The uncached probe send: GET, count, reject transport loss.
+
+        With a concurrent scheduler installed the send is timed on the
+        wall clock (never the injected clock, whose reads the digest
+        gates pin) and the sample goes to the scheduler's ring.
+        """
         headers = {"X-Auth-Token": token}
         if extra_headers:
             headers.update(extra_headers)
-        with self._count_lock:
-            self.probe_count += 1
         if self.observability is not None:
             self.observability.metrics.counter(
                 "monitor_probe_requests_total",
                 "GET probes issued to bind the OCL roots").inc()
         probe = Request("GET", url, headers=headers)
         budget = self.current_budget
+        scheduler = self.scheduler
+        timed = scheduler is not None and scheduler.concurrent
+        started = perf_counter() if timed else 0.0
         if budget is not None and getattr(self.transport,
                                           "supports_budget", False):
             response = self.transport.send(probe, budget=budget)
         else:
             response = self.transport.send(probe)
+        with self._count_lock:
+            self.probe_count += 1
+            if timed:
+                scheduler.record(perf_counter() - started)
         reason = transport_failure(response)
         if reason is not None:
             # The transport layer gave up (retries exhausted / breaker
@@ -245,14 +258,18 @@ class CloudStateProvider:
         single-flight cache, so identical URLs cost one round trip.
         Roots whose probes die in the transport layer are collected in
         :attr:`unbound_roots` instead of raising.
+
+        Whether the phase overlaps is decided once, here, by the
+        scheduler's ``should_overlap()``: an overlapped phase may race
+        two pool threads to the same URL, so only it pays for a
+        :class:`~repro.core.scheduler.SingleFlight`; a serial phase keeps
+        the plain dict.
         """
         requested: FrozenSet[str] = (frozenset(self.roots) if roots is None
                                      else frozenset(roots))
-        # The phase's single-flight cache: a SingleFlight when a
-        # scheduler may race two pool threads to the same URL.
         scheduler = self.scheduler
-        cache = (SingleFlight() if scheduler is not None
-                 and scheduler.concurrent else {})
+        overlap = scheduler is not None and scheduler.should_overlap()
+        cache = SingleFlight() if overlap else {}
         tasks: ProbeTasks = []
         skipped = 0
         for root, probe in self.probes:
@@ -272,16 +289,17 @@ class CloudStateProvider:
                 "monitor_probes_skipped_total",
                 "GET probes the demand-driven plan proved unnecessary").inc(
                     skipped)
-        return self._execute_probe_tasks(tasks, token, item_id)
+        return self._execute_probe_tasks(tasks, token, item_id, overlap)
 
     def _execute_probe_tasks(self, tasks: ProbeTasks, token: str,
-                             item_id: Optional[str]) -> Dict[str, Any]:
+                             item_id: Optional[str],
+                             overlap: bool) -> Dict[str, Any]:
         """Run one phase's ``(root, probe)`` tasks and merge their results.
 
-        With a concurrent scheduler installed the probes overlap on the
-        pool; outcomes are merged **in task order**, so the returned
-        bindings dict (and :attr:`unbound_roots`) are byte-identical to
-        the serial loop.  A
+        With *overlap* (and two or more tasks left) the probes overlap on
+        the scheduler's pool; outcomes are merged **in task order**, so
+        the returned bindings dict (and :attr:`unbound_roots`) are
+        byte-identical to the serial loop.  A
         :class:`~repro.core.resilience.ProbeFailure` means the transport
         exhausted its retries (or the breaker is open): the root's value
         is unknowable, which is different from "the resource does not
@@ -312,16 +330,14 @@ class CloudStateProvider:
             # mode exists to avoid.
             unbound.update(root for root, _ in tasks)
             tasks = []
-        scheduler = self.scheduler
-        if (scheduler is not None and scheduler.concurrent
-                and len(tasks) > 1):
+        if overlap and len(tasks) > 1:
             thunks = [thunk for _, thunk in tasks]
             if budget is not None:
                 # Pool threads have their own thread-locals: re-install
                 # the request's budget inside each worker so its probe
                 # sends stay capped.
                 thunks = [self._budgeted(thunk, budget) for thunk in thunks]
-            outcomes = scheduler.map(thunks, budget=budget)
+            outcomes = self.scheduler.map(thunks, budget=budget)
             for (root, _), outcome in zip(tasks, outcomes):
                 if outcome.ok:
                     bindings[root] = outcome.value

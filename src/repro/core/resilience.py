@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import MonitorError
 from ..httpsim.message import Request, Response

@@ -24,9 +24,14 @@ Two pieces:
   (the event log's trace id is thread-local), so a retry emitted from a
   pool thread still lands on the request that caused it.
 
-``width <= 1`` degrades to a plain serial loop on the calling thread --
-the scheduler is always safe to construct, and the fan-out/serial parity
-gate (``scripts/gates.py --only fanout``) holds by construction.
+Overlap is adaptive: the scheduler remembers how long the provider's
+last :data:`WINDOW` probe sends took, and a phase overlaps only when
+every one of them took at least :data:`OVERLAP_AFTER`.  Fast (in-process
+or cached) probes keep the serial loop and its plain dict cache, so
+overlap costs nothing where it could not pay.  ``width <= 1`` never
+overlaps and times nothing -- the scheduler is always safe to construct,
+and the fan-out/serial parity gate (``scripts/gates.py --only fanout``)
+holds by construction.
 """
 
 from __future__ import annotations
@@ -36,6 +41,20 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from .resilience import ProbeFailure
+
+#: How many of the provider's most recent probe sends the overlap rule
+#: looks back over.
+WINDOW = 8
+
+#: Seconds each of the last :data:`WINDOW` probe sends must have taken
+#: before a phase overlaps.  The rule takes the window's *minimum*: on a
+#: zero-latency two-shard fleet with two client threads, GIL handoffs
+#: inflate single in-process probes to 3-25 ms, so a median-of-8 at
+#: 0.5 ms still fired on about 11% of one shard's windows, while the
+#: largest min-of-8 stayed at 107-663 us over runs of 6,000-10,100
+#: requests.  Behind a 2 ms substrate every probe took at least 2.1 ms,
+#: so 1 ms separates the two regimes with room on both sides.
+OVERLAP_AFTER = 0.001
 
 
 class ProbeOutcome:
@@ -129,17 +148,21 @@ class SingleFlight:
 class ProbeScheduler:
     """A bounded worker pool issuing one phase's root probes concurrently.
 
-    *width* bounds concurrency; the monitor sizes it to the widest
-    :class:`~repro.core.planning.ProbePlan` it owns (more workers could
-    never all be busy).  *events* is the shared
-    :class:`~repro.obs.events.EventLog`: its current trace id is
+    *width* bounds concurrency: the monitor passes its ``fanout``.  The
+    pool is created on the first overlapped phase, and
+    :class:`~concurrent.futures.ThreadPoolExecutor` starts a thread only
+    when no idle one can take a task, so with one caller at a time a
+    monitor holds at most its widest overlapped phase minus one threads
+    (the calling thread runs the first task itself).  *events* is the
+    shared :class:`~repro.obs.events.EventLog`: its current trace id is
     thread-local, so :meth:`map` captures the submitting thread's id and
     re-establishes it inside each worker -- transport events raised from
     pool threads keep pointing at the request that caused them.
 
-    The pool is created lazily on the first concurrent :meth:`map` and
-    torn down by :meth:`close` (also a context-manager exit).  Tasks may
-    raise :class:`~repro.core.resilience.ProbeFailure`; that is a normal
+    :meth:`should_overlap` is the adaptive rule the provider asks once
+    per phase; :meth:`record` feeds it.  :meth:`close` (also a
+    context-manager exit) tears the pool down.  Tasks may raise
+    :class:`~repro.core.resilience.ProbeFailure`; that is a normal
     outcome (the root stays unbound), every other exception propagates.
     """
 
@@ -150,24 +173,49 @@ class ProbeScheduler:
         self._prefix = thread_name_prefix
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        #: Tasks actually dispatched to pool threads (serial runs do not
-        #: count; this is the "did fan-out engage" probe for tests).
+        #: Tasks actually dispatched to pool threads (serial runs and the
+        #: inline first task do not count; this is the "did fan-out
+        #: engage" probe for tests).
         self.dispatched_count = 0
+        #: Wall-clock seconds of the last WINDOW probe sends, a ring
+        #: written at ``_next``; zeros until full, so a young ring never
+        #: overlaps.
+        self._recent = [0.0] * WINDOW
+        self._next = 0
 
     @property
     def concurrent(self) -> bool:
         """True when this scheduler can actually overlap probes."""
         return self.width > 1
 
+    def record(self, seconds: float) -> None:
+        """Remember that one probe send took *seconds* of wall time.
+
+        Writers must not race each other: the provider calls this under
+        the lock it already takes for every send's ``probe_count``.
+        """
+        self._recent[self._next] = seconds
+        self._next = (self._next + 1) % WINDOW
+
+    def should_overlap(self) -> bool:
+        """True when the next probe phase should run on the pool.
+
+        That is when each of the last :data:`WINDOW` probe sends took at
+        least :data:`OVERLAP_AFTER`.  Ask once per phase, before choosing
+        the phase cache.
+        """
+        return self.concurrent and min(self._recent) >= OVERLAP_AFTER
+
     def map(self, tasks: Sequence[Callable[[], Any]],
             budget=None) -> List[ProbeOutcome]:
         """Run *tasks*, returning outcomes **in submission order**.
 
         Serial (width 1, or fewer than two tasks) runs on the calling
-        thread; otherwise every task is submitted to the pool up front
-        and the results are collected in order -- the merge order is the
-        submission order regardless of completion order, which is what
-        keeps fan-out byte-identical to the serial path.
+        thread; otherwise tasks 1..n-1 go to the pool, the calling
+        thread runs task 0 itself, and the results are collected in
+        order -- the merge order is the submission order regardless of
+        completion order, which is what keeps fan-out byte-identical to
+        the serial path.
 
         *budget* (a :class:`~repro.core.admission.DeadlineBudget`)
         bounds the phase: once the budget is exhausted, tasks not yet
@@ -192,10 +240,11 @@ class ProbeScheduler:
         trace_id = (self._events.current_trace_id
                     if self._events is not None else None)
         with self._lock:
-            self.dispatched_count += len(tasks)
+            self.dispatched_count += len(tasks) - 1
         futures = [pool.submit(self._run_correlated, task, trace_id)
-                   for task in tasks]
-        return [future.result() for future in futures]
+                   for task in tasks[1:]]
+        first = self._run(tasks[0])
+        return [first] + [future.result() for future in futures]
 
     @staticmethod
     def _abandoned() -> ProbeOutcome:

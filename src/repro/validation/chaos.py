@@ -29,7 +29,8 @@ from ..config import (FleetSection, MonitorConfig, MonitorSection,
                       build_fleet_from_config, build_from_config)
 from ..core import CloudMonitor, Verdict
 from ..core.auditlog import verdict_to_json
-from ..httpsim import FailN, Flake, FaultProgram, by_path
+from ..httpsim import Compose, FailN, Flake, FaultProgram, Latency, by_path
+from ..obs.clock import system_clock
 from ..workloads import WorkloadRunner, make_workload
 
 #: The hosts the Cinder-scenario monitor talks to; chaos programs are
@@ -48,9 +49,9 @@ def chaos_config(enforcing: bool = False,
     The paper setup behind a ResilientTransport (3 attempts, retry
     jitter seeded with 11) on a ManualClock, so everything is
     deterministic: backoff waits advance virtual time instead of
-    sleeping.  *fanout* > 1 issues each probe phase's independent probes
-    concurrently, and *shards* > 1 puts a
-    :class:`~repro.core.fleet.MonitorFleet` in front (one shared
+    sleeping.  *fanout* > 1 lets each probe phase overlap its
+    independent probes once recent probes were slow, and *shards* > 1
+    puts a :class:`~repro.core.fleet.MonitorFleet` in front (one shared
     ManualClock, one independent transport per shard) -- the verdict
     stream must not change either way, which is what the ``fanout``
     gate checks.  Stand it up with :func:`repro.config.build_from_config`,
@@ -94,17 +95,39 @@ def unrecoverable_program() -> FaultProgram:
     return Flake(1.0, seed=0)
 
 
+def _inject_faults(network, latency: float,
+                   fault_factory: Optional[Callable[[], FaultProgram]],
+                   ) -> None:
+    """Install *latency* (real sleeps) ahead of the fault program on
+    every chaos host; either may be absent."""
+    for host in CHAOS_HOSTS:
+        programs = []
+        if latency:
+            # The system clock really sleeps: the injected ManualClock,
+            # and so every digest, never sees the delay.
+            programs.append(Latency(latency, system_clock))
+        if fault_factory is not None:
+            programs.append(fault_factory())
+        if programs:
+            network.inject_fault(host, programs[0] if len(programs) == 1
+                                 else Compose(*programs))
+
+
 class ChaosRun:
     """One campaign leg: the workload's verdict rows plus counters."""
 
     def __init__(self, rows: List[str], histogram: Dict[str, int],
-                 retries: float, indeterminate: int, probe_count: int):
+                 retries: float, indeterminate: int, probe_count: int,
+                 dispatched: int):
         #: One canonical JSONL row per verdict, in arrival order.
         self.rows = rows
         self.histogram = histogram
         self.retries = retries
         self.indeterminate = indeterminate
         self.probe_count = probe_count
+        #: Probe tasks the leg's schedulers ran on pool threads: 0 when
+        #: probing stayed serial.
+        self.dispatched = dispatched
 
     def digest(self) -> str:
         """SHA-256 over the verdict rows -- the parity fingerprint."""
@@ -148,24 +171,30 @@ class ChaosReport:
         }
 
 
+def _dispatched(monitors) -> int:
+    return sum(monitor.scheduler.dispatched_count for monitor in monitors
+               if monitor.scheduler is not None)
+
+
 def run_leg(count: int = 40, seed: int = 7,
             fault_factory: Optional[Callable[[], FaultProgram]] = None,
             enforcing: bool = False, fanout: int = 1,
-            probe_cache: bool = False) -> ChaosRun:
+            probe_cache: bool = False, latency: float = 0.0) -> ChaosRun:
     """Run the seeded workload once, optionally under a fault program.
 
     A *fresh* cloud + monitor per leg: chaos must never leak state into
     the baseline it is compared against.  *fanout* > 1 runs the same
     workload with concurrent probe fan-out -- the rows must not change.
     *probe_cache* enables the cross-request probe cache -- the rows must
-    not change either (the cache-parity gate).
+    not change either (the cache-parity gate).  *latency* makes every
+    chaos-host request sleep that many real seconds first, which is
+    what engages the adaptive fan-out (see
+    :data:`repro.core.scheduler.OVERLAP_AFTER`).
     """
     cloud, monitor = build_from_config(chaos_config(
         enforcing=enforcing, fanout=fanout, probe_cache=probe_cache))
     try:
-        if fault_factory is not None:
-            for host in CHAOS_HOSTS:
-                cloud.network.inject_fault(host, fault_factory())
+        _inject_faults(cloud.network, latency, fault_factory)
         runner = WorkloadRunner(cloud, monitor)
         histogram = runner.execute(make_workload(count, seed=seed),
                                    monitored=True)
@@ -176,7 +205,8 @@ def run_leg(count: int = 40, seed: int = 7,
             retries=metrics.total("monitor_retries_total"),
             indeterminate=int(
                 metrics.counter_value("monitor_indeterminate_total")),
-            probe_count=monitor.provider.probe_count)
+            probe_count=monitor.provider.probe_count,
+            dispatched=_dispatched([monitor]))
     finally:
         monitor.close()
 
@@ -185,21 +215,21 @@ def run_fleet_leg(count: int = 40, seed: int = 7,
                   fault_factory: Optional[Callable[[], FaultProgram]] = None,
                   enforcing: bool = False,
                   shards: int = 4, fanout: int = 1,
-                  probe_cache: bool = False) -> ChaosRun:
+                  probe_cache: bool = False,
+                  latency: float = 0.0) -> ChaosRun:
     """Run the seeded workload through a sharded fleet.
 
     Same workload, same deterministic stack, but traffic is partitioned
     across *shards* monitors behind the fleet dispatcher.  The merged,
     arrival-ordered verdict rows must be byte-identical to the serial
-    single-monitor leg -- the fleet half of the parity gate.
+    single-monitor leg -- the fleet half of the parity gate.  *latency*
+    is :func:`run_leg`'s.
     """
     cloud, fleet = build_fleet_from_config(chaos_config(
         shards=shards, enforcing=enforcing, fanout=fanout,
         probe_cache=probe_cache))
     try:
-        if fault_factory is not None:
-            for host in CHAOS_HOSTS:
-                cloud.network.inject_fault(host, fault_factory())
+        _inject_faults(cloud.network, latency, fault_factory)
         runner = WorkloadRunner(cloud)
         histogram = runner.execute(make_workload(count, seed=seed),
                                    monitored=True)
@@ -211,7 +241,8 @@ def run_fleet_leg(count: int = 40, seed: int = 7,
             indeterminate=int(
                 merged.counter_value("monitor_indeterminate_total")),
             probe_count=sum(monitor.provider.probe_count
-                            for monitor in fleet.shards))
+                            for monitor in fleet.shards),
+            dispatched=_dispatched(fleet.shards))
     finally:
         fleet.close()
 

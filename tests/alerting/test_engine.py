@@ -19,7 +19,6 @@ from repro.alerting import (
     WARN,
     AlarmEngine,
     AlarmRule,
-    EventLogSink,
     JsonlSink,
     MemorySink,
 )

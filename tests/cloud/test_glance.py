@@ -1,7 +1,5 @@
 """Tests for the Glance-lite image service and bootable volumes."""
 
-import pytest
-
 IMAGES = "http://glance/v2/images"
 VOLUMES = "http://cinder/v3/myProject/volumes"
 

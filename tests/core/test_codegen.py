@@ -262,7 +262,7 @@ class TestCommandLine:
         """End-to-end: XMI -> codegen -> the contracts in the generated
         views.py are the same the runnable monitor enforces."""
         from repro.core import ContractGenerator
-        from repro.ocl import parse as parse_ocl, to_text
+        from repro.ocl import parse as parse_ocl
 
         source = generate_views(diagram, machine)
         module = ast.parse(source)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud import PrivateCloud
-from repro.core import CloudMonitor, CompositeMonitor, Verdict
+from repro.core import CloudMonitor, CompositeMonitor
 from repro.core.nova_scenario import monitor_for_nova
 from repro.errors import MonitorError
 

@@ -1,7 +1,5 @@
 """Tests for the behavioral-model consistency analyzer."""
 
-import pytest
-
 from repro.core import BehaviorModelBuilder, cinder_behavior_model
 from repro.core.consistency import (
     check_consistency,

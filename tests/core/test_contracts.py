@@ -8,7 +8,7 @@ from repro.core import (
     cinder_behavior_model,
     cinder_resource_model,
 )
-from repro.ocl import Context, Snapshot, collect_pre_expressions, parse
+from repro.ocl import Context, collect_pre_expressions, parse
 from repro.ocl.nodes import Binary, Pre
 
 

@@ -19,9 +19,7 @@ from collections import Counter
 from repro.cloud import PrivateCloud
 from repro.config import build_fleet_from_config
 from repro.core import MonitorFleet, SingleFlight
-from repro.core.fleet import tenant_from_token
 from repro.httpsim import Request
-from repro.obs import Observability
 from repro.obs.clock import ManualClock
 from repro.obs.events import EventLog
 from repro.obs.tracing import Tracer

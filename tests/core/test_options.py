@@ -26,15 +26,6 @@ class TestResilienceOptions:
                       "max_delay", "jitter", "seed"):
             assert getattr(built, field) == getattr(stock, field)
 
-    def test_from_policy_round_trips(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.2, seed=11)
-        options = ResilienceOptions.from_policy(policy,
-                                                failure_threshold=2)
-        assert options.max_attempts == 5
-        assert options.base_delay == 0.2
-        assert options.retry_policy().seed == 11
-        assert options.failure_threshold == 2
-
     def test_build_transport(self):
         cloud = PrivateCloud.paper_setup()
         transport = ResilienceOptions(seed=11).build_transport(
@@ -48,7 +39,7 @@ class TestMonitorOptions:
         options = MonitorOptions()
         assert options.enforcing is True
         assert options.probe_planning is True
-        assert options.fanout == 1
+        assert options.fanout == 4
         assert options.probe_cache is False
         assert options.resilience is None
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.config import build_from_config
 from repro.core import (
-    MethodContract,
     MonitorFleet,
     MonitorOptions,
     ProbeCache,

@@ -14,7 +14,6 @@ from repro.core import (
     transport_failure,
 )
 from repro.core.resilience import (
-    TRANSPORT_ERROR_HEADER,
     BreakerState,
     ProbeFailure,
 )

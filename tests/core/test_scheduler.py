@@ -137,7 +137,20 @@ class TestProbeScheduler:
             outcomes = scheduler.map([slow, fast, lambda: "third"])
         assert [outcome.value for outcome in outcomes] == \
             ["slow", "fast", "third"]
-        assert scheduler.dispatched_count == 3
+        # Task 0 runs on the calling thread; only the rest are dispatched.
+        assert scheduler.dispatched_count == 2
+
+    def test_calling_thread_runs_the_first_task(self):
+        caller = threading.current_thread().name
+        with ProbeScheduler(width=4) as scheduler:
+            outcomes = scheduler.map([
+                lambda: threading.current_thread().name,
+                lambda: threading.current_thread().name,
+                lambda: threading.current_thread().name,
+            ])
+        names = [outcome.value for outcome in outcomes]
+        assert names[0] == caller
+        assert all(name.startswith("probe") for name in names[1:])
 
     def test_probe_failure_is_a_normal_outcome(self):
         def doomed():

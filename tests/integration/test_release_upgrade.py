@@ -18,7 +18,6 @@ from repro.cloud import PrivateCloud, SnapshotCheckBypassMutant, paper_mutants
 from repro.core import CloudMonitor, Verdict, cinder_behavior_model
 from repro.validation import (
     MutationCampaign,
-    TestOracle,
     release2_battery,
     release2_setup,
 )

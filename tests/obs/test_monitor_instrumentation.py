@@ -7,9 +7,7 @@ in these tests is an exact equality, not a tolerance check.
 import json
 from dataclasses import replace
 
-from repro.cloud import PrivateCloud
 from repro.config import ObservabilitySection, build_from_config
-from repro.core import CloudMonitor
 from repro.validation import TestOracle, campaign_config
 
 MONITOR = "http://cmonitor/cmonitor/volumes"

@@ -11,8 +11,6 @@ from repro.ocl import (
     Snapshot,
     compile_bool,
     compile_expression,
-    evaluate,
-    parse,
 )
 from repro.ocl.nodes import (
     ArrowCall,

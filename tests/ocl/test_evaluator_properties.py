@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ocl import Context, Evaluator, Snapshot, evaluate, parse, to_text
-from repro.ocl.nodes import Binary, Literal, Name, Pre, Unary
+from repro.ocl.nodes import Binary, Literal, Name, Unary
 from repro.ocl.values import UNDEFINED, as_collection, ocl_equal, unique
 
 _bool_leaves = st.one_of(

@@ -17,7 +17,6 @@ from repro.ocl import (
     Evaluator,
     Snapshot,
     compile_bool,
-    compile_expression,
     compile_optimized,
     compile_snapshot_plan,
     optimize_expression,

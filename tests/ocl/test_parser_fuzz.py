@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.errors import OCLSyntaxError, PolicyError
 from repro.ocl import evaluate, parse, to_text
-from repro.ocl.values import UNDEFINED
 from repro.rbac import PolicyRule
 
 _TOKENS = st.sampled_from([

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ocl import evaluate, parse, simplify, to_text
-from repro.ocl.nodes import Binary, Literal, Name, Pre, Unary
+from repro.ocl.nodes import Binary, Literal, Name, Unary
 
 
 def text(source):

@@ -3,8 +3,6 @@
 import subprocess
 import sys
 
-import pytest
-
 
 def run_module(module, *args):
     return subprocess.run(

@@ -5,14 +5,13 @@ import pytest
 from repro import errors
 from repro.config import build_from_config
 from repro.core import (
-    CloudMonitor,
     MethodContract,
     cinder_behavior_model,
     cinder_resource_model,
 )
 from repro.core.codegen import generate_urls
 from repro.httpsim import Headers, Request, Response
-from repro.ocl import Context, Snapshot, parse
+from repro.ocl import Context, Snapshot
 from repro.ocl.values import UNDEFINED, require_number, unique
 from repro.uml.dot import _wrap
 from repro.validation import campaign_config

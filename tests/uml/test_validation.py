@@ -13,7 +13,7 @@ from repro.uml import (
     validate_class_diagram,
     validate_state_machine,
 )
-from repro.uml.validation import ERROR, WARNING, errors_only
+from repro.uml.validation import WARNING, errors_only
 
 
 def good_diagram():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import build_from_config
-from repro.core import CloudMonitor, ContractGenerator
+from repro.core import ContractGenerator
 from repro.uml.validation import errors_only, validate_class_diagram
 from repro.validation import campaign_config
 from repro.workloads import (
