@@ -74,9 +74,7 @@ def test_bench_ablation_slicing_contract_generation(benchmark):
           f"tests/uml/test_slicing.py)")
 
 
-def test_bench_ablation_compiled_contracts_interpreter(benchmark):
-    """Contract evaluation cost: tree-walking interpreter."""
-    from repro.core import ContractGenerator
+def _delete_contract_and_state():
     from repro.ocl import Context
 
     generator = ContractGenerator(cinder_behavior_model(),
@@ -88,43 +86,39 @@ def test_bench_ablation_compiled_contracts_interpreter(benchmark):
         "volume": {"id": "v1", "status": "available"},
         "user": {"roles": ["admin"]},
     }, strict=False)
-    result = benchmark(contract.check_pre, context)
+    return contract, context
+
+
+def test_bench_ablation_contracts_interpreter_oracle(benchmark):
+    """Contract evaluation cost: the tree-walking interpreter (oracle)."""
+    from repro.ocl import Evaluator
+
+    contract, context = _delete_contract_and_state()
+    result = benchmark(
+        lambda: Evaluator(context).evaluate_bool(contract.precondition))
     assert result is True
 
 
-def test_bench_ablation_compiled_contracts_compiled(benchmark):
-    """Contract evaluation cost: compiled closures (same contract/state)."""
-    from repro.core import ContractGenerator
-    from repro.ocl import Context
-
-    generator = ContractGenerator(cinder_behavior_model(),
-                                  cinder_resource_model())
-    contract = generator.for_trigger("DELETE(volume)").compile()
-    context = Context({
-        "project": {"id": "p", "volumes": [{"id": "v1"}, {"id": "v2"}]},
-        "quota_sets": {"volumes": 5},
-        "volume": {"id": "v1", "status": "available"},
-        "user": {"roles": ["admin"]},
-    }, strict=False)
+def test_bench_ablation_contracts_shipped(benchmark):
+    """Contract evaluation cost: the shipped contract, compiled at
+    generation (same contract and state as the oracle bench)."""
+    contract, context = _delete_contract_and_state()
     result = benchmark(contract.check_pre, context)
     assert result is True
 
 
 def test_bench_ablation_compiled_monitor_equivalent(benchmark):
-    """A monitor with compiled contracts is verdict-identical."""
+    """The shipped monitor gives the reference session's verdicts."""
 
-    def run_compiled():
+    def run_monitor():
         cloud = PrivateCloud.paper_setup()
         monitor = CloudMonitor.for_service("cinder", cloud.network,
-                                           "myProject", enforcing=False,
-                                           compiled=True)
+                                           "myProject", enforcing=False)
         cloud.network.register("cmonitor", monitor.app)
         TestOracle(cloud, monitor).run()
         return monitor
 
-    monitor = benchmark(run_compiled)
-    assert all(contract.is_compiled
-               for contract in monitor.contracts.values())
+    monitor = benchmark(run_monitor)
     reference = _monitored_session(False)
     assert [v.verdict for v in monitor.log] == \
         [v.verdict for v in reference.log]

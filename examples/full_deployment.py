@@ -33,7 +33,7 @@ def main() -> None:
         "cinder", cloud.network, "myProject",
         machine=cinder_behavior_model(with_snapshots=True),
         diagram=cinder_resource_model(with_snapshots=True),
-        enforcing=True, compiled=True)
+        enforcing=True)
     nova_monitor = monitor_for_nova(cloud.network, "myProject",
                                     enforcing=True)
     composite = CompositeMonitor([cinder_monitor, nova_monitor])

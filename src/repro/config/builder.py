@@ -217,7 +217,6 @@ def build_fleet_from_config(config: MonitorConfig,
     config.require_valid()
     options = monitor_options(config)
     scenario = config.scenario
-    extra = {"compiled": True} if scenario.compiled else {}
     # Shared clock first, then the cloud, then the fleet.
     clock = build_clock(config)
     cloud = PrivateCloud.paper_setup(
@@ -228,7 +227,7 @@ def build_fleet_from_config(config: MonitorConfig,
         scenario.name, cloud.network, scenario.project_id,
         shards=config.fleet.shards, clock=clock,
         router_seed=config.fleet.router_seed,
-        options=options, **extra)
+        options=options)
     for shard in fleet.shards:
         _apply_alerting(shard, config)
     if register:
@@ -251,7 +250,6 @@ def build_from_config(config: MonitorConfig,
     config.require_valid()
     options = monitor_options(config)
     scenario = config.scenario
-    extra = {"compiled": True} if scenario.compiled else {}
 
     # Observability first -- its ManualClock must be constructed before
     # the cloud -- then the cloud, then the monitor.
@@ -264,7 +262,7 @@ def build_from_config(config: MonitorConfig,
         release2=config.cloud.release2)
     monitor = CloudMonitor.for_service(
         scenario.name, cloud.network, scenario.project_id,
-        observability=observability, options=options, **extra)
+        observability=observability, options=options)
     _apply_alerting(monitor, config)
     if register:
         cloud.network.register(scenario.register_as, monitor.app)

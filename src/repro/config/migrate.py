@@ -25,7 +25,6 @@ _V0_KEY_MAP = {
     "scenario": ("scenario", "name"),
     "project_id": ("scenario", "project_id"),
     "register_as": ("scenario", "register_as"),
-    "compiled": ("scenario", "compiled"),
     "volume_quota": ("cloud", "volume_quota"),
     "release2": ("cloud", "release2"),
     "enforcing": ("monitor", "enforcing"),

@@ -172,7 +172,6 @@ class ScenarioSection:
     project_id: str = "myProject"
     #: Host name the monitor (or fleet) registers under on the network.
     register_as: str = "cmonitor"
-    compiled: bool = False
 
 
 @dataclass(frozen=True)
@@ -523,9 +522,6 @@ class MonitorConfig:
             problems.append(
                 f"scenario.name {self.scenario.name!r} is not registered "
                 f"(known: {', '.join(scenario_names())})")
-        elif self.scenario.compiled and self.scenario.name != "cinder":
-            problems.append("scenario.compiled is only supported for the "
-                            f"cinder scenario, not {self.scenario.name!r}")
         if self.fleet.shards < 1:
             problems.append("fleet.shards must be >= 1")
         if self.monitor.fanout < 1:

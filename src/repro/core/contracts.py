@@ -12,17 +12,19 @@ For a method *m* triggering transitions ``t1..tn``:
   is why it is wrapped in a ``pre()`` old-value node (the paper's Listing 2
   stores the antecedent variables in ``pre_*`` locals).
 
-The generated :class:`MethodContract` renders to the Listing-1 text format
-and knows which state must be snapshotted before forwarding a request.
+The generated :class:`MethodContract` renders to the Listing-1 text format,
+knows which state must be snapshotted before forwarding a request, and is
+compiled once, when it is generated -- the paper's generator likewise
+turns each contract into checking code once (Section VI).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import GenerationError
-from ..ocl import Context, Evaluator, Snapshot, parse, to_text
+from ..ocl import Context, Snapshot, compile_contract, parse, to_text
 from ..ocl.nodes import Binary, Expression, Pre, conjoin, disjoin
 from ..ocl.simplify import simplify as simplify_ocl
 from ..uml import ClassDiagram, StateMachine, Transition, Trigger
@@ -34,25 +36,28 @@ class ContractCase:
     With ``simplify=True`` the combined expressions are normalized (unit
     ``true`` terms dropped, duplicates collapsed) -- the readable form the
     paper's Listing 1 presents; the default keeps the mechanical
-    conjunction for full traceability to the model elements.
+    conjunction for full traceability to the model elements.  *parser*
+    turns the model's OCL texts into ASTs; :class:`ContractGenerator`
+    passes one that parses each distinct text once.
     """
 
     def __init__(self, transition: Transition, machine: StateMachine,
-                 simplify: bool = False):
+                 simplify: bool = False,
+                 parser: Callable[[str], Expression] = parse):
         self.transition = transition
         self.source_state = machine.get_state(transition.source)
         self.target_state = machine.get_state(transition.target)
         #: inv(source) and guard  -- this case applies when it holds.
         self.precondition: Expression = Binary(
             "and",
-            parse(self.source_state.invariant),
-            parse(transition.guard),
+            parser(self.source_state.invariant),
+            parser(transition.guard),
         )
         #: inv(target) and effect -- must hold afterwards if the case applied.
         self.postcondition: Expression = Binary(
             "and",
-            parse(self.target_state.invariant),
-            parse(transition.effect),
+            parser(self.target_state.invariant),
+            parser(transition.effect),
         )
         if simplify:
             self.precondition = simplify_ocl(self.precondition)
@@ -69,7 +74,14 @@ class ContractCase:
 
 
 class MethodContract:
-    """The combined pre/post-condition of one method on one resource."""
+    """The combined pre/post-condition of one method on one resource.
+
+    The contract compiles itself when it is built (see
+    :func:`repro.ocl.compile.compile_contract`): one closure per case
+    pre-condition, one for the post-condition, and one snapshot plan.
+    The ASTs stay as the source of truth for rendering, probe planning
+    and the interpreter oracle.
+    """
 
     def __init__(self, trigger: Trigger, cases: List[ContractCase],
                  uri: Optional[str] = None):
@@ -84,22 +96,12 @@ class MethodContract:
             [case.precondition for case in cases])
         self.postcondition: Expression = conjoin(
             [case.implication for case in cases])
-        self._compiled_pre = None
-        self._compiled_post = None
-        #: The optimized ASTs :meth:`compile` produced (None until then);
-        #: probe planning analyses these so folded-away roots stop being
-        #: probed.
-        self._optimized_pre: Optional[Expression] = None
-        self._optimized_post: Optional[Expression] = None
-        #: Compiled snapshot capture: (structural key, closure) pairs over
-        #: the *optimized* post-condition, so snapshot keys always match
-        #: what the compiled post-condition looks up.
-        self._compiled_snapshot = None
+        checks, self._post_check, self._snapshot_plan = compile_contract(
+            [case.precondition for case in cases], self.postcondition)
+        self._case_checks = tuple(zip(cases, checks))
         self._obs = None
         self._probe_plans: Dict[Optional[Tuple[str, ...]], Any] = {}
-        #: Guards the compile/plan memoization: under fleet fan-out two
-        #: threads may race to compile, and a reader must never observe a
-        #: compiled pre paired with a still-interpreted post.
+        #: Guards the probe-plan memo: fleet shards share contract objects.
         self._lock = threading.Lock()
 
     @property
@@ -112,78 +114,6 @@ class MethodContract:
         return list(seen)
 
     # -- evaluation ------------------------------------------------------------
-
-    def compile(self, costs: Optional[Mapping[str, int]] = None,
-                ) -> "MethodContract":
-        """Compile both conditions through the optimizing pipeline.
-
-        The monitor evaluates contracts on every request; compiled
-        contracts skip the interpreter's per-node dispatch.  Compilation
-        first optimizes the ASTs (see
-        :func:`repro.ocl.compile.optimize_expression`): constant folding
-        through the simplifier, DNF normalization of the pre-condition's
-        disjuncts, and cost-ordering of and/or chains by *costs* (the
-        provider's probe-cost table, defaulting to the Cinder
-        :data:`~repro.core.planning.PROBE_COSTS`) so the cheapest-to-bind
-        operand short-circuits first.  Snapshot capture is compiled over
-        the same optimized post-condition, and the memoized probe plans
-        are recomputed from the optimized ASTs -- a pre-condition that
-        folds to a constant therefore plans zero pre-phase roots and the
-        monitor skips its pre-probe round entirely.
-
-        Thread-safe: every artifact is built before any is published, and
-        publication happens under the contract's lock, so a racing reader
-        never evaluates pre compiled but post interpreted.  Returns self
-        for chaining; calling twice is a no-op.
-        """
-        from ..ocl.compile import (compile_bool, compile_snapshot_plan,
-                                   optimize_expression)
-
-        with self._lock:
-            if self._compiled_pre is not None:
-                return self
-            if costs is None:
-                from .planning import PROBE_COSTS
-                costs = PROBE_COSTS
-            optimized_pre = optimize_expression(self.precondition,
-                                                costs=costs, dnf=True)
-            optimized_post = optimize_expression(self.postcondition,
-                                                 costs=costs)
-            compiled_pre = compile_bool(optimized_pre)
-            compiled_post = compile_bool(optimized_post)
-            snapshot_plan = compile_snapshot_plan(optimized_post)
-            self._optimized_pre = optimized_pre
-            self._optimized_post = optimized_post
-            self._compiled_snapshot = snapshot_plan
-            # Post publishes before pre: ``is_compiled`` keys off
-            # ``_compiled_pre``, so readers outside the lock see either
-            # nothing or everything.
-            self._compiled_post = compiled_post
-            self._compiled_pre = compiled_pre
-            # Plans memoized over the raw ASTs are stale now.
-            self._probe_plans.clear()
-        return self
-
-    @property
-    def is_compiled(self) -> bool:
-        """True once :meth:`compile` has run."""
-        return self._compiled_pre is not None
-
-    @property
-    def planning_precondition(self) -> Expression:
-        """The pre-condition AST probe planning should analyse.
-
-        The optimized AST once :meth:`compile` has run -- folded-away
-        roots must stop being probed -- and the raw disjunction before.
-        """
-        optimized = self._optimized_pre
-        return optimized if optimized is not None else self.precondition
-
-    @property
-    def planning_postcondition(self) -> Expression:
-        """The post-condition AST probe planning should analyse."""
-        optimized = self._optimized_post
-        return optimized if optimized is not None else self.postcondition
 
     def probe_plan(self, roots: Optional[Tuple[str, ...]] = None):
         """The roots each monitoring phase must bind, as a ``ProbePlan``.
@@ -207,15 +137,14 @@ class MethodContract:
         """Report evaluation timings into *observability* (``None`` stops).
 
         Instrumented contracts record an ``ocl_eval_seconds`` histogram
-        (labelled by phase) around every pre/post/snapshot evaluation, and
-        -- on the interpreted path -- an ``ocl_nodes_evaluated_total``
-        counter of AST nodes dispatched.  Returns self for chaining.
+        and an ``ocl_evaluations_total`` counter (both labelled by phase)
+        around every pre/snapshot/post evaluation.  Returns self for
+        chaining.
         """
         self._obs = observability
         return self
 
-    def _record_eval(self, phase: str, start: float,
-                     evaluator: Optional[Evaluator]) -> None:
+    def _record_eval(self, phase: str, start: float) -> None:
         obs = self._obs
         obs.metrics.histogram(
             "ocl_eval_seconds", "OCL contract evaluation latency, by phase",
@@ -223,63 +152,52 @@ class MethodContract:
         obs.metrics.counter(
             "ocl_evaluations_total", "OCL contract evaluations, by phase",
             phase=phase).inc()
-        if evaluator is not None:
-            obs.metrics.counter(
-                "ocl_nodes_evaluated_total",
-                "AST nodes dispatched by the OCL interpreter, by phase",
-                phase=phase).inc(evaluator.nodes_evaluated)
+
+    def applicable_cases(self, context: Context) -> List[ContractCase]:
+        """The cases whose pre-condition holds in *context* (pre-state).
+
+        Each case pre-condition is evaluated once.  Pre(m) is their
+        disjunction, so the pre-condition holds exactly when this list is
+        non-empty; the monitor reads both from this one call, observed as
+        the ``pre`` phase.
+        """
+        obs = self._obs
+        start = obs.clock() if obs is not None else 0.0
+        applicable = [case for case, holds in self._case_checks
+                      if holds(context)]
+        if obs is not None:
+            self._record_eval("pre", start)
+        return applicable
 
     def check_pre(self, context: Context) -> bool:
         """Evaluate the pre-condition in the current (pre-call) state."""
-        start = self._obs.clock() if self._obs is not None else 0.0
-        evaluator = None
-        if self._compiled_pre is not None:
-            result = self._compiled_pre(context)
-        else:
-            evaluator = Evaluator(context)
-            result = evaluator.evaluate_bool(self.precondition)
-        if self._obs is not None:
-            self._record_eval("pre", start, evaluator)
-        return result
+        return bool(self.applicable_cases(context))
 
     def snapshot(self, context: Context) -> Snapshot:
         """Capture every ``pre()`` value the post-condition will need.
 
-        Compiled contracts run the compiled snapshot plan (one closure per
-        structurally distinct ``pre()`` operand of the *optimized*
-        post-condition, so keys match the compiled post's lookups);
-        interpreted contracts capture via the evaluator as before.
+        Runs the snapshot plan: one closure per structurally distinct
+        ``pre()`` operand of the post-condition, stored under the keys the
+        post-condition looks up.
         """
-        start = self._obs.clock() if self._obs is not None else 0.0
-        plan = self._compiled_snapshot
-        if plan is not None:
-            snapshot = Snapshot()
-            for key, closure in plan:
-                snapshot.values[key] = closure(context)
-        else:
-            snapshot = Snapshot().capture(self.postcondition, context)
-        if self._obs is not None:
-            self._record_eval("snapshot", start, None)
+        obs = self._obs
+        start = obs.clock() if obs is not None else 0.0
+        snapshot = Snapshot()
+        values = snapshot.values
+        for key, capture in self._snapshot_plan:
+            values[key] = capture(context)
+        if obs is not None:
+            self._record_eval("snapshot", start)
         return snapshot
 
     def check_post(self, context: Context, snapshot: Snapshot) -> bool:
         """Evaluate the post-condition in the post-call state."""
-        start = self._obs.clock() if self._obs is not None else 0.0
-        evaluator = None
-        if self._compiled_post is not None:
-            result = self._compiled_post(context, snapshot)
-        else:
-            evaluator = Evaluator(context, snapshot)
-            result = evaluator.evaluate_bool(self.postcondition)
-        if self._obs is not None:
-            self._record_eval("post", start, evaluator)
+        obs = self._obs
+        start = obs.clock() if obs is not None else 0.0
+        result = self._post_check(context, snapshot)
+        if obs is not None:
+            self._record_eval("post", start)
         return result
-
-    def applicable_cases(self, context: Context) -> List[ContractCase]:
-        """The cases whose pre-condition holds in *context* (pre-state)."""
-        evaluator = Evaluator(context)
-        return [case for case in self.cases
-                if evaluator.evaluate_bool(case.precondition)]
 
     # -- rendering ----------------------------------------------------------------
 
@@ -318,6 +236,15 @@ class ContractGenerator:
         self.machine = machine
         self.diagram = diagram
         self.simplify = simplify
+        #: OCL text -> AST, so each distinct model text parses once.
+        self._parsed: Dict[str, Expression] = {}
+
+    def _parse(self, text: str) -> Expression:
+        """Parse *text* once per generator; cases share the immutable AST."""
+        node = self._parsed.get(text)
+        if node is None:
+            node = self._parsed[text] = parse(text)
+        return node
 
     def _uri_for(self, trigger: Trigger) -> Optional[str]:
         if self.diagram is None:
@@ -334,7 +261,8 @@ class ContractGenerator:
         if not isinstance(trigger, Trigger):
             trigger = Trigger.parse(trigger)
         transitions = self.machine.transitions_triggered_by(trigger)
-        cases = [ContractCase(t, self.machine, simplify=self.simplify)
+        cases = [ContractCase(t, self.machine, simplify=self.simplify,
+                              parser=self._parse)
                  for t in transitions]
         return MethodContract(trigger, cases, uri=self._uri_for(trigger))
 

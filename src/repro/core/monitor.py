@@ -605,9 +605,9 @@ class CloudMonitor:
             # snapshot roots: its context is reused by the snapshot.
             with trace.span("pre_probe"):
                 if plan is not None and not plan.pre_phase_roots:
-                    # The (optimized) contract reads no pre-state at all
-                    # -- constant pre-condition and no snapshot roots --
-                    # so the phase skips the provider round-trip.
+                    # The contract reads no pre-state at all -- constant
+                    # pre-condition and no snapshot roots -- so the phase
+                    # skips the provider round-trip.
                     pre_context = Context({}, strict=False)
                     facts.pre_unbound = frozenset()
                 else:
@@ -620,8 +620,8 @@ class CloudMonitor:
         if outcome is None:
             # (2) check the pre-condition.
             with trace.span("pre_eval"):
-                facts.pre_holds = contract.check_pre(pre_context)
                 applicable = contract.applicable_cases(pre_context)
+                facts.pre_holds = bool(applicable)
             requirements = self._requirements(contract, applicable)
             outcome = decide(facts)
         if outcome is None:

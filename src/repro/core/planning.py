@@ -68,17 +68,10 @@ class ProbePlan:
         differently-shaped provider to plan for other scenarios.
         """
         known = tuple(roots) if roots is not None else PROBE_ROOTS
-        # Compiled contracts expose their *optimized* ASTs for planning
-        # (a pre-condition folded to a constant plans zero pre roots);
-        # duck-typed contract objects fall back to the raw conditions.
-        pre_ast = getattr(contract, "planning_precondition",
-                          contract.precondition)
-        post_ast = getattr(contract, "planning_postcondition",
-                           contract.postcondition)
         return cls(
-            pre_roots=required_roots(pre_ast, known),
-            snapshot_roots=old_value_roots(post_ast, known),
-            post_roots=post_state_roots(post_ast, known),
+            pre_roots=required_roots(contract.precondition, known),
+            snapshot_roots=old_value_roots(contract.postcondition, known),
+            post_roots=post_state_roots(contract.postcondition, known),
         )
 
     @property

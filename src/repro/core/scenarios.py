@@ -72,7 +72,6 @@ def _build_cinder(network: Network, project_id: str,
                   enforcing: Optional[bool] = None,
                   coverage: Optional[CoverageTracker] = None,
                   cinder_host: str = "cinder",
-                  compiled: bool = False,
                   observability: Optional[Observability] = None,
                   probe_planning: Optional[bool] = None,
                   options=None) -> CloudMonitor:
@@ -90,9 +89,6 @@ def _build_cinder(network: Network, project_id: str,
     diagram = diagram or cinder_resource_model()
     generator = ContractGenerator(machine, diagram)
     contracts = generator.all_contracts()
-    if compiled:
-        for contract in contracts.values():
-            contract.compile()
     base = f"http://{cinder_host}/v3/{project_id}"
     operations = operations_from_models(machine, diagram, base)
     provider = CloudStateProvider(network, project_id,

@@ -8,7 +8,10 @@ pre/post-conditions in OCL (Section IV-B, Listing 1).  This package provides:
 * :mod:`repro.ocl.values` -- the value domain (including ``Undefined``),
 * :mod:`repro.ocl.context` -- name bindings and pluggable navigation,
 * :mod:`repro.ocl.evaluator` -- evaluation with ``pre()`` old-value
-  snapshots, as required by the post-conditions of Listing 1,
+  snapshots, as required by the post-conditions of Listing 1 (the
+  reference semantics),
+* :mod:`repro.ocl.compile` -- the same semantics compiled once to
+  closures, which is how generated contracts run,
 * :mod:`repro.ocl.pretty` -- canonical rendering used by the contract
   generator and the code generator,
 * :mod:`repro.ocl.usage` -- static free-name / root-usage analysis that
@@ -29,10 +32,9 @@ navigation ``a.b``, collection operations ``c->size()``, ``c->isEmpty()``,
 
 from .compile import (
     compile_bool,
+    compile_contract,
     compile_expression,
-    compile_optimized,
     compile_snapshot_plan,
-    optimize_expression,
 )
 from .context import Context, DictNavigator, Navigator, ObjectNavigator
 from .evaluator import Evaluator, Snapshot, collect_pre_expressions, evaluate
@@ -80,11 +82,10 @@ __all__ = [
     "Undefined",
     "collect_pre_expressions",
     "compile_bool",
+    "compile_contract",
     "compile_expression",
-    "compile_optimized",
     "compile_snapshot_plan",
     "evaluate",
-    "optimize_expression",
     "free_names",
     "is_defined",
     "old_value_roots",

@@ -4,12 +4,14 @@ The paper's tool is described as "a Python compiler with a greater
 capacity for compilation and processing of data structures" (Section
 VI-B).  This module is that idea applied to the contracts themselves: an
 expression is compiled *once* into a tree of closures, eliminating the
-per-evaluation isinstance dispatch of the tree-walking interpreter.  The
-monitor evaluates every contract on every request, so compiled contracts
-are a real throughput lever (quantified in the OCL-COMPILER bench).
+per-evaluation isinstance dispatch of the tree-walking interpreter.
+Every generated contract compiles itself this way when it is built
+(:func:`compile_contract`), so the monitor never walks an AST on a
+request.
 
-Semantics are shared with the interpreter through :mod:`repro.ocl.ops`,
-and interpreter/compiler equivalence is property-tested.
+Semantics are shared with the interpreter through :mod:`repro.ocl.ops`;
+the interpreter (:class:`~repro.ocl.evaluator.Evaluator`) stays as the
+oracle the compiled closures are tested against.
 
 Usage::
 
@@ -20,7 +22,8 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Mapping, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..errors import OCLEvaluationError, OCLTypeError
 from . import ops
@@ -39,156 +42,25 @@ from .nodes import (
     Navigation,
     Pre,
     Unary,
-    conjoin,
-    disjoin,
 )
 from .parser import parse
-from .simplify import simplify
-from .usage import required_roots
 from .values import ocl_equal, ocl_truthy, require_number
 
 #: A compiled expression: (context, snapshot) -> value.
 Compiled = Callable[[Context, Optional[Snapshot]], Any]
 
-#: Ceiling on the conjunctive terms DNF normalization may produce; an
-#: expression whose distribution would exceed it keeps its original shape
-#: (normalization is an optimization, never an obligation).
-DNF_TERM_LIMIT = 64
+#: Closures already built during one compile, keyed by node identity.
+_Memo = Dict[int, Compiled]
 
 
 def compile_expression(expression: Union[str, Expression]) -> Compiled:
     """Compile *expression* (text or AST) to a closure tree."""
-    return _compile(parse(expression))
+    return _compile(parse(expression), {})
 
 
 def compile_bool(expression: Union[str, Expression]) -> Compiled:
     """Like :func:`compile_expression` but coercing to a boolean."""
-    inner = compile_expression(expression)
-
-    def run(context: Context, snapshot: Optional[Snapshot] = None) -> bool:
-        return ocl_truthy(inner(context, snapshot))
-
-    return run
-
-
-# -- the optimization pass ----------------------------------------------------
-
-
-def to_dnf(expression: Union[str, Expression],
-           limit: int = DNF_TERM_LIMIT) -> Expression:
-    """Normalize *expression*'s and/or structure to disjunctive normal form.
-
-    Only the boolean skeleton is rewritten -- comparisons, ``not``,
-    ``implies``/``xor``, navigations, and calls are opaque atoms.  When
-    distribution would produce more than *limit* conjunctive terms the
-    original expression is returned unchanged.  DNF puts a contract's
-    pre-condition back into its per-case disjunct shape after constant
-    folding, so one cheap true disjunct short-circuits the whole check.
-    """
-    node = parse(expression)
-    terms = _dnf_terms(node, limit)
-    if terms is None:
-        return node
-    return disjoin([conjoin(term) for term in terms])
-
-
-def _dnf_terms(node: Expression,
-               limit: int) -> Optional[List[List[Expression]]]:
-    """*node* as a list of conjunct lists, or ``None`` past the limit."""
-    if isinstance(node, Binary) and node.operator == "or":
-        left = _dnf_terms(node.left, limit)
-        right = _dnf_terms(node.right, limit)
-        if left is None or right is None or len(left) + len(right) > limit:
-            return None
-        return left + right
-    if isinstance(node, Binary) and node.operator == "and":
-        left = _dnf_terms(node.left, limit)
-        right = _dnf_terms(node.right, limit)
-        if left is None or right is None or len(left) * len(right) > limit:
-            return None
-        return [lterm + rterm for lterm in left for rterm in right]
-    return [[node]]
-
-
-def binding_cost(expression: Union[str, Expression],
-                 costs: Mapping[str, int]) -> int:
-    """Planned GET probes needed before *expression* can evaluate.
-
-    The sum of per-root probe costs (the provider's ``PROBE_COSTS``
-    table) over the roots the expression reads; an expression reading no
-    known root costs 0 -- it can always evaluate first.
-    """
-    return sum(costs[root]
-               for root in required_roots(parse(expression), tuple(costs)))
-
-
-def order_by_cost(expression: Union[str, Expression],
-                  costs: Mapping[str, int]) -> Expression:
-    """Stably reorder and/or chains so cheap-to-bind operands come first.
-
-    Each chain's operands are sorted by :func:`binding_cost` (stable:
-    equal-cost operands keep their source order, preserving determinism),
-    recursively.  Short-circuit evaluation then settles most requests on
-    the operands whose probes are cheapest -- e.g. a ``user``-only
-    authorization term (cost 1) runs before a ``project`` inventory
-    comparison (cost 2).  Only apply this to total boolean expressions
-    (contract conditions are: undefined bindings compare false instead of
-    raising), because reordering also reorders which operand raises.
-    """
-    node = parse(expression)
-    if isinstance(node, Binary) and node.operator in ("and", "or"):
-        operands = [order_by_cost(operand, costs)
-                    for operand in _chain(node.operator, node)]
-        ordered = sorted(operands,
-                         key=lambda operand: binding_cost(operand, costs))
-        result = ordered[0]
-        for operand in ordered[1:]:
-            result = Binary(node.operator, result, operand)
-        return result
-    return node
-
-
-def _chain(operator: str, node: Expression) -> List[Expression]:
-    """Flatten an and/or chain into its operand list."""
-    if isinstance(node, Binary) and node.operator == operator:
-        return _chain(operator, node.left) + _chain(operator, node.right)
-    return [node]
-
-
-def optimize_expression(expression: Union[str, Expression],
-                        costs: Optional[Mapping[str, int]] = None,
-                        dnf: bool = False) -> Expression:
-    """The contract-compilation optimization pipeline, as an AST pass.
-
-    1. constant folding through :func:`repro.ocl.simplify.simplify`
-       (connectives, comparisons via ``ocl_equal``, arithmetic);
-    2. optionally (*dnf*) normalize the boolean skeleton to DNF and fold
-       again -- distribution duplicates atoms that the second fold
-       deduplicates;
-    3. with a *costs* table, stably order every and/or chain so the
-       cheapest-to-bind operand short-circuits first.
-
-    The result evaluates to the same value as *expression* on total
-    (two-valued, non-raising) inputs -- the shape contract conditions
-    satisfy -- which the interpreter/compiler equivalence property suite
-    checks.
-    """
-    node = simplify(parse(expression))
-    if dnf:
-        normalized = to_dnf(node)
-        if normalized is not node:
-            node = simplify(normalized)
-    if costs:
-        node = order_by_cost(node, costs)
-    return node
-
-
-def compile_optimized(expression: Union[str, Expression],
-                      costs: Optional[Mapping[str, int]] = None,
-                      dnf: bool = False) -> Compiled:
-    """:func:`optimize_expression` then :func:`compile_bool`."""
-    return compile_bool(optimize_expression(expression, costs=costs,
-                                            dnf=dnf))
+    return _truthy(compile_expression(expression))
 
 
 def compile_snapshot_plan(
@@ -202,18 +74,57 @@ def compile_snapshot_plan(
     a snapshot filled from this plan is interchangeable with an
     interpreted capture of the same expression.
     """
+    return _snapshot_plan(parse(expression), {})
+
+
+def compile_contract(
+        preconditions: Sequence[Expression], postcondition: Expression,
+) -> Tuple[List[Compiled], Compiled, List[Tuple[tuple, Compiled]]]:
+    """Compile one method contract: ``(case checks, post check, plan)``.
+
+    *preconditions* are the contract's case pre-conditions, each compiled
+    to a boolean check; *postcondition* is the Listing-1 conjunction of
+    ``pre(case_pre) implies ...``, compiled to a boolean check over
+    ``(context, snapshot)``; the plan is its :func:`compile_snapshot_plan`.
+    All three share one closure per AST node: a case pre-condition is
+    also the operand of its ``pre()`` antecedent, so the snapshot plan
+    reuses the case's closure instead of compiling it again.
+    """
+    memo: _Memo = {}
+    checks = [_truthy(_compile(node, memo)) for node in preconditions]
+    post = _truthy(_compile(postcondition, memo))
+    return checks, post, _snapshot_plan(postcondition, memo)
+
+
+def _truthy(inner: Compiled) -> Compiled:
+    def run(context: Context, snapshot: Optional[Snapshot] = None) -> bool:
+        return ocl_truthy(inner(context, snapshot))
+
+    return run
+
+
+def _snapshot_plan(expression: Expression,
+                   memo: _Memo) -> List[Tuple[tuple, Compiled]]:
     plan: List[Tuple[tuple, Compiled]] = []
     seen = set()
-    for pre_node in collect_pre_expressions(parse(expression)):
+    for pre_node in collect_pre_expressions(expression):
         key = pre_node.operand._key()
         if key in seen:
             continue
         seen.add(key)
-        plan.append((key, _compile(pre_node.operand)))
+        plan.append((key, _compile(pre_node.operand, memo)))
     return plan
 
 
-def _compile(node: Expression) -> Compiled:
+def _compile(node: Expression, memo: _Memo) -> Compiled:
+    """*node*'s closure, built at most once per *memo*."""
+    compiled = memo.get(id(node))
+    if compiled is None:
+        compiled = memo[id(node)] = _build(node, memo)
+    return compiled
+
+
+def _build(node: Expression, memo: _Memo) -> Compiled:
     if isinstance(node, Literal):
         value = node.value
         return lambda context, snapshot=None: value
@@ -223,41 +134,45 @@ def _compile(node: Expression) -> Compiled:
         return lambda context, snapshot=None: context.lookup(identifier)
 
     if isinstance(node, Navigation):
-        source = _compile(node.source)
+        source = _compile(node.source, memo)
         attribute = node.attribute
         return lambda context, snapshot=None: context.navigate(
             source(context, snapshot), attribute)
 
     if isinstance(node, Pre):
-        inner = _compile(node.operand)
+        inner = _compile(node.operand, memo)
+        key = node.operand._key()
         pre_node = node
 
         def run_pre(context: Context,
                     snapshot: Optional[Snapshot] = None) -> Any:
-            if snapshot is not None:
-                return snapshot.lookup(pre_node)
-            return inner(context, snapshot)
+            if snapshot is None:
+                return inner(context, snapshot)
+            values = snapshot.values
+            if key in values:
+                return values[key]
+            return snapshot.lookup(pre_node)  # raises: nothing captured
 
         return run_pre
 
     if isinstance(node, Let):
-        value = _compile(node.value)
-        body = _compile(node.body)
+        value = _compile(node.value, memo)
+        body = _compile(node.body, memo)
         variable = node.variable
         return lambda context, snapshot=None: body(
             context.child(variable, value(context, snapshot)), snapshot)
 
     if isinstance(node, Conditional):
-        condition = _compile(node.condition)
-        then_branch = _compile(node.then_branch)
-        else_branch = _compile(node.else_branch)
+        condition = _compile(node.condition, memo)
+        then_branch = _compile(node.then_branch, memo)
+        else_branch = _compile(node.else_branch, memo)
         return lambda context, snapshot=None: (
             then_branch(context, snapshot)
             if ocl_truthy(condition(context, snapshot))
             else else_branch(context, snapshot))
 
     if isinstance(node, Unary):
-        operand = _compile(node.operand)
+        operand = _compile(node.operand, memo)
         if node.operator == "not":
             return lambda context, snapshot=None: not ocl_truthy(
                 operand(context, snapshot))
@@ -275,19 +190,20 @@ def _compile(node: Expression) -> Compiled:
             f"unknown unary operator {node.operator!r}")
 
     if isinstance(node, Binary):
-        return _compile_binary(node)
+        return _compile_binary(node, memo)
 
     if isinstance(node, ArrowCall):
-        source = _compile(node.source)
-        arguments = [_compile(argument) for argument in node.arguments]
+        source = _compile(node.source, memo)
+        arguments = [_compile(argument, memo)
+                     for argument in node.arguments]
         operation = node.operation
         return lambda context, snapshot=None: ops.collection_op(
             operation, source(context, snapshot),
             [argument(context, snapshot) for argument in arguments])
 
     if isinstance(node, IteratorCall):
-        source = _compile(node.source)
-        body = _compile(node.body)
+        source = _compile(node.source, memo)
+        body = _compile(node.body, memo)
         operation = node.operation
         variable = node.variable
 
@@ -300,8 +216,9 @@ def _compile(node: Expression) -> Compiled:
         return run_iterator
 
     if isinstance(node, MethodCall):
-        source = _compile(node.source)
-        arguments = [_compile(argument) for argument in node.arguments]
+        source = _compile(node.source, memo)
+        arguments = [_compile(argument, memo)
+                     for argument in node.arguments]
         operation = node.operation
         return lambda context, snapshot=None: ops.method_op(
             operation, source(context, snapshot),
@@ -310,10 +227,10 @@ def _compile(node: Expression) -> Compiled:
     raise OCLEvaluationError(f"cannot compile node {node!r}")
 
 
-def _compile_binary(node: Binary) -> Compiled:
+def _compile_binary(node: Binary, memo: _Memo) -> Compiled:
     operator = node.operator
-    left = _compile(node.left)
-    right = _compile(node.right)
+    left = _compile(node.left, memo)
+    right = _compile(node.right, memo)
 
     if operator == "and":
         return lambda context, snapshot=None: (

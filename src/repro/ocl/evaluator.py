@@ -113,17 +113,14 @@ class Snapshot:
 class Evaluator:
     """Evaluates parsed OCL expressions in a :class:`Context`.
 
-    The evaluator counts every node it dispatches in
-    :attr:`nodes_evaluated`; instrumented callers (the contract layer)
-    export the count as the ``ocl_nodes_evaluated_total`` metric, giving a
-    clock-independent measure of evaluation work per request.
+    The tree-walking reference semantics: generated contracts run
+    compiled closures (:mod:`repro.ocl.compile`), and this interpreter is
+    the oracle they are tested against.
     """
 
     def __init__(self, context: Context, snapshot: Optional[Snapshot] = None):
         self.context = context
         self.snapshot = snapshot
-        #: AST nodes dispatched by this evaluator instance.
-        self.nodes_evaluated = 0
 
     def evaluate(self, expression: Union[str, Expression]) -> Any:
         """Evaluate *expression* (text or AST) to a value."""
@@ -136,7 +133,6 @@ class Evaluator:
     # -- node dispatch -----------------------------------------------------
 
     def _eval(self, node: Expression, context: Context) -> Any:
-        self.nodes_evaluated += 1
         if isinstance(node, Literal):
             return node.value
         if isinstance(node, Name):

@@ -7,7 +7,7 @@ canonical OCL text through :mod:`repro.ocl.pretty`.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 
 class Expression:
@@ -17,6 +17,8 @@ class Expression:
     _children: Tuple[str, ...] = ()
     #: Subclasses list their non-expression data attribute names here.
     _data: Tuple[str, ...] = ()
+    #: The memoized :meth:`_key` (set on the instance on first use).
+    _structural_key: Optional[tuple] = None
 
     def children(self) -> Iterator["Expression"]:
         """Yield direct child expressions."""
@@ -36,6 +38,13 @@ class Expression:
             yield from child.walk()
 
     def _key(self) -> tuple:
+        """The structural key: equal exactly for structurally equal nodes.
+
+        Computed on first use and kept on the node, which is immutable.
+        """
+        key = self._structural_key
+        if key is not None:
+            return key
         parts: list = [type(self).__name__]
         for attr in self._data:
             parts.append(getattr(self, attr))
@@ -47,7 +56,8 @@ class Expression:
                 parts.append(None)
             else:
                 parts.append(value._key())
-        return tuple(parts)
+        key = self._structural_key = tuple(parts)
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expression):

@@ -63,16 +63,12 @@ def run_rows(cloud, deployment, faulted=False):
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
 
 
-class TestDigestParityWithLegacyShims:
-    """Hand-written documents match the in-code validation configs.
-
-    The test names keep the names of the deleted setup functions that
-    ``chaos_config()`` and ``campaign_config()`` replaced.
-    """
+class TestDocumentParity:
+    """Hand-written documents match the in-code validation configs."""
 
     @pytest.mark.parametrize("faulted", [False, True],
                              ids=["clean", "faulted"])
-    def test_single_monitor_matches_resilient_setup(self, faulted):
+    def test_monitor_document_matches_chaos_config(self, faulted):
         expected = run_rows(*build_from_config(chaos_config()),
                             faulted=faulted)
         document = run_rows(*build_from_config(chaos_document()),
@@ -81,7 +77,7 @@ class TestDigestParityWithLegacyShims:
 
     @pytest.mark.parametrize("faulted", [False, True],
                              ids=["clean", "faulted"])
-    def test_fleet_matches_fleet_setup(self, faulted):
+    def test_fleet_document_matches_chaos_config(self, faulted):
         expected = run_rows(*build_from_config(chaos_config(shards=4)),
                             faulted=faulted)
         document = run_rows(*build_from_config(chaos_document(shards=4)),
@@ -93,7 +89,7 @@ class TestDigestParityWithLegacyShims:
         fleet = run_rows(*build_from_config(chaos_document(shards=4)))
         assert fleet == single
 
-    def test_default_setup_shim_warns_and_matches_config(self):
+    def test_audit_document_matches_campaign_config(self):
         audit = MonitorConfig.from_dict({
             "config_version": 1, "monitor": {"enforcing": False},
             "observability": {"clock": "manual"}})

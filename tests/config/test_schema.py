@@ -15,12 +15,12 @@ from repro.config import (
     SLOSpec,
     SinkSpec,
     WindowSpec,
-    build_from_config,
     config_digest,
     dump,
     dumps,
     load,
     loads,
+    migrate,
     parse_text,
 )
 from repro.errors import ConfigError
@@ -157,18 +157,17 @@ class TestValidation:
             config.require_valid()
 
     def test_compiled_is_rejected_where_it_cannot_build(self):
-        # Only the cinder scenario accepts compiled contracts; anything
-        # else must fail validation, not raise TypeError mid-build.
-        for name in ("nova", "keystone"):
-            config = MonitorConfig.from_dict({
-                "config_version": 1,
-                "scenario": {"name": name, "compiled": True}})
-            with pytest.raises(ConfigError, match="scenario.compiled"):
-                build_from_config(config)
-        config = MonitorConfig.from_dict({
-            "config_version": 1, "scenario": {"compiled": True}})
-        _, monitor = build_from_config(config)
-        monitor.close()
+        # Every contract compiles when it is generated, so the old
+        # ``scenario.compiled`` switch is an unknown key in every scenario
+        # and in legacy documents alike.
+        for name in ("cinder", "nova", "keystone"):
+            with pytest.raises(ConfigError, match="compiled"):
+                MonitorConfig.from_dict({
+                    "config_version": 1,
+                    "scenario": {"name": name, "compiled": False}})
+        with pytest.raises(ConfigError,
+                           match="unknown legacy config key 'compiled'"):
+            migrate({"scenario": "cinder", "compiled": True})
 
 
 class TestDigestDocument:

@@ -182,3 +182,23 @@ class TestPostContract:
         generator = ContractGenerator(cinder_behavior_model())
         contract = generator.for_trigger("DELETE(volume)")
         assert contract.uri == "/volume"
+
+
+class TestGenerationCost:
+    """Generation compiles every contract, so it must not parse twice."""
+
+    def test_each_distinct_text_is_lexed_once(self, monkeypatch):
+        import repro.ocl.parser as parser
+
+        machine, diagram = cinder_behavior_model(), cinder_resource_model()
+        lexed = []
+        tokenize = parser.tokenize
+
+        def counting_tokenize(text):
+            lexed.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+        contracts = ContractGenerator(machine, diagram).all_contracts()
+        assert len(contracts) == 5
+        assert lexed and len(lexed) == len(set(lexed))

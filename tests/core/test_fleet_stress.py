@@ -19,14 +19,17 @@ from collections import Counter
 from repro.cloud import PrivateCloud
 from repro.config import build_fleet_from_config
 from repro.core import MonitorFleet, SingleFlight
-from repro.httpsim import Request
-from repro.obs.clock import ManualClock
+from repro.httpsim import Latency, Request
+from repro.obs.clock import ManualClock, system_clock
 from repro.obs.events import EventLog
 from repro.obs.tracing import Tracer
 from repro.validation.chaos import chaos_config
 
 THREADS = 8
 ROUNDS = 25
+#: Rounds per thread behind a 1.5 ms substrate: the shard serializes
+#: whole requests, each several substrate sleeps long.
+SLOW_ROUNDS = 12
 
 
 def run_racing(worker, threads=THREADS):
@@ -254,14 +257,17 @@ class TestShardUnderContention:
         # One shard, fan-out inside it, GET-only traffic from racing
         # threads: every request must produce exactly one verdict, the
         # shared allocator must mint gap-free trace ids, and the event
-        # ring must stay sequentially coherent.
+        # ring must stay sequentially coherent.  The substrate is slow,
+        # so the adaptive scheduler really overlaps probes on its pool.
         cloud, fleet = build_fleet_from_config(chaos_config(
             shards=1, fanout=4))
+        for host in ("cinder", "keystone"):
+            cloud.network.inject_fault(host, Latency(0.0015, system_clock))
         tokens = sorted(cloud.paper_tokens().values())
         try:
             def worker(index):
                 token = tokens[index % len(tokens)]
-                for _ in range(ROUNDS):
+                for _ in range(SLOW_ROUNDS):
                     response = fleet.handle(Request(
                         "GET", "http://cmonitor/cmonitor/volumes",
                         headers={"X-Auth-Token": token}))
@@ -271,8 +277,9 @@ class TestShardUnderContention:
         finally:
             fleet.close()
 
-        total = THREADS * ROUNDS
+        total = THREADS * SLOW_ROUNDS
         shard = fleet.shards[0]
+        assert shard.scheduler.dispatched_count > 0
         assert fleet.dispatched == [total]
         assert len(fleet.log) == total
         correlation_ids = [verdict.correlation_id

@@ -76,7 +76,7 @@ class TestResolveOptions:
         assert resolved.fanout == 2
 
 
-class TestConstructorDeprecations:
+class TestConstructorsTakeOptions:
     """The constructors take ``options=`` and warn about nothing."""
 
     def test_monitor_accepts_options_silently(self):

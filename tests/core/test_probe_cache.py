@@ -187,46 +187,6 @@ class TestCompileThreadSafety:
                                       cinder_resource_model())
         return next(iter(generator.all_contracts().values()))
 
-    def test_concurrent_compile_is_single_and_consistent(self, monkeypatch):
-        import repro.ocl.compile as ocl_compile
-
-        contract = self._contract()
-        calls = []
-        real = ocl_compile.compile_bool
-
-        def slow_compile(expression):
-            calls.append(expression)
-            # Widen the race window: a reader must never observe a
-            # published pre-closure without its post-closure.
-            threading.Event().wait(0.005)
-            return real(expression)
-
-        monkeypatch.setattr(ocl_compile, "compile_bool", slow_compile)
-        violations = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                if (contract._compiled_pre is not None
-                        and contract._compiled_post is None):
-                    violations.append("pre published before post")
-
-        watcher = threading.Thread(target=reader)
-        watcher.start()
-        workers = [threading.Thread(target=contract.compile)
-                   for _ in range(8)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        stop.set()
-        watcher.join()
-        assert not violations
-        assert contract.is_compiled
-        # Eight racing threads, exactly one winner: two compile_bool
-        # calls (pre + post), not sixteen.
-        assert len(calls) == 2
-
     def test_probe_plan_memo_is_consistent_across_threads(self):
         contract = self._contract()
         plans = []

@@ -103,9 +103,9 @@ class TestMetrics:
         metrics = monitor.obs.metrics
         for phase in ("pre", "snapshot", "post"):
             histogram = metrics.get("ocl_eval_seconds", phase=phase)
-            assert histogram is not None and histogram.count >= 1
-        assert metrics.counter_value("ocl_nodes_evaluated_total",
-                                     phase="pre") > 0
+            assert histogram is not None and histogram.count == 1
+            assert metrics.counter_value("ocl_evaluations_total",
+                                         phase=phase) == 1
 
     def test_snapshot_bytes_counter_matches_log(self):
         cloud, monitor, clients = deterministic_setup()

@@ -1,11 +1,8 @@
-"""Tests for the optimizing compile pipeline: fold, DNF, cost ordering.
+"""Tests for the simplifier's folds and the compiled snapshot plan.
 
-The gate is semantic: every rewrite must be invisible to the verdict.
-The property suite pins interpreter == compiler == simplify-then-compile
-(including mixed int/float literals), and restricts the DNF/cost-ordered
-``compile_optimized`` property to total boolean expressions -- the shape
-contract conditions have -- because reordering also reorders which
-operand of a partial expression raises.
+The gate is semantic: a fold must be invisible to the verdict.  The
+property suite pins interpreter == compiler == simplify-then-compile on
+total boolean expressions, including mixed int/float literals.
 """
 
 import pytest
@@ -17,23 +14,12 @@ from repro.ocl import (
     Evaluator,
     Snapshot,
     compile_bool,
-    compile_optimized,
     compile_snapshot_plan,
-    optimize_expression,
     parse,
     simplify,
-    to_text,
-)
-from repro.ocl.compile import (
-    DNF_TERM_LIMIT,
-    binding_cost,
-    order_by_cost,
-    to_dnf,
 )
 from repro.ocl.nodes import Binary, Literal, Name, Navigation
 from repro.ocl.values import ocl_equal
-
-COSTS = {"project": 2, "volume": 2, "quota_sets": 1, "user": 1}
 
 BINDINGS = {
     "project": {"volumes": [{"id": "v1", "status": "available"},
@@ -88,69 +74,6 @@ class TestSimplifierFolds:
     def test_type_error_stays_unfolded(self):
         node = simplify(parse("'a' + 3"))
         assert isinstance(node, Binary) and node.operator == "+"
-
-
-class TestDNF:
-    def test_distributes_and_over_or(self):
-        node = to_dnf("(a or b) and (c or d)")
-        assert to_text(node) == ("a and c or a and d or "
-                                 "b and c or b and d")
-
-    def test_atom_is_its_own_dnf(self):
-        node = to_dnf("project.volumes->size() < 5")
-        assert to_text(node) == "project.volumes->size() < 5"
-
-    def test_bails_out_past_term_limit(self):
-        # 2 disjuncts per factor, 7 factors: 128 terms > DNF_TERM_LIMIT.
-        source = " and ".join(f"(a{i} or b{i})" for i in range(7))
-        assert 2 ** 7 > DNF_TERM_LIMIT
-        node = to_dnf(source)
-        assert to_text(node) == to_text(parse(source))
-
-    def test_preserves_semantics(self):
-        source = "(x > 3 or user.n = 1) and project.n = 2"
-        assert compile_bool(to_dnf(source))(context()) \
-            == compile_bool(source)(context()) is True
-
-
-class TestCostOrdering:
-    def test_binding_cost_sums_probe_costs(self):
-        assert binding_cost("project.volumes->size()", COSTS) == 2
-        assert binding_cost("user.roles->includes('admin')", COSTS) == 1
-        assert binding_cost("project.n + user.n", COSTS) == 3
-        assert binding_cost("1 + 2", COSTS) == 0
-
-    def test_cheap_operand_moves_first(self):
-        node = order_by_cost("project.n = 2 and user.n = 1", COSTS)
-        assert to_text(node) == "user.n = 1 and project.n = 2"
-
-    def test_sort_is_stable(self):
-        source = "user.n = 1 and quota_sets.volumes = 5 and x > 3"
-        node = order_by_cost(source, COSTS)
-        # x (cost 0) first; the two cost-1 operands keep source order.
-        assert to_text(node) == ("x > 3 and user.n = 1 and "
-                                 "quota_sets.volumes = 5")
-
-    def test_recurses_into_nested_chains(self):
-        source = "(project.n = 2 or user.n = 1) and x > 3"
-        node = order_by_cost(source, COSTS)
-        assert to_text(node) == "x > 3 and (user.n = 1 or project.n = 2)"
-
-
-class TestOptimizedCompile:
-    def test_constant_precondition_folds_away(self):
-        node = optimize_expression("1 + 2 = 3 or project.n = 99",
-                                   costs=COSTS, dnf=True)
-        assert isinstance(node, Literal) and node.value is True
-
-    def test_matches_plain_compile_on_contract_shape(self):
-        source = ("project.volumes->size() < quota_sets.volumes "
-                  "and user.roles->includes('admin') "
-                  "or user.roles->includes('operator')")
-        plain = compile_bool(source)(context())
-        optimized = compile_optimized(source, costs=COSTS,
-                                      dnf=True)(context())
-        assert plain == optimized is True
 
 
 class TestSnapshotPlan:
@@ -237,22 +160,3 @@ class TestPropertyEquivalence:
         compiled = compile_bool(expression)(ctx)
         simplified = compile_bool(simplify(expression))(ctx)
         assert interpreted == compiled == simplified
-
-    @given(_booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_optimized_compile_is_semantics_preserving(self, expression):
-        """The full pipeline (fold + DNF + cost ordering) is invisible."""
-        ctx = context()
-        interpreted = Evaluator(ctx).evaluate_bool(expression)
-        optimized = compile_optimized(expression, costs=COSTS,
-                                      dnf=True)(ctx)
-        assert interpreted == optimized
-
-    @given(_booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_optimize_is_idempotent_on_semantics(self, expression):
-        """Optimizing an already-optimized AST changes nothing observable."""
-        ctx = context()
-        once = optimize_expression(expression, costs=COSTS, dnf=True)
-        twice = optimize_expression(once, costs=COSTS, dnf=True)
-        assert compile_bool(once)(ctx) == compile_bool(twice)(ctx)

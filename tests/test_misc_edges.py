@@ -131,15 +131,6 @@ class TestContractEdgeCases:
         with pytest.raises(GenerationError):
             MethodContract(Trigger("GET", "x"), [])
 
-    def test_compile_idempotent(self):
-        from repro.core import ContractGenerator
-
-        contract = ContractGenerator(cinder_behavior_model()).for_trigger(
-            "GET(volumes)")
-        first = contract.compile()._compiled_pre
-        second = contract.compile()._compiled_pre
-        assert first is second
-
     def test_simplified_generator_contracts_equivalent(self):
         from repro.core import ContractGenerator
 
