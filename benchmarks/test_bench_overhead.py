@@ -14,53 +14,45 @@ snapshot size per method, which must stay tens of bytes.
 import time
 
 from repro.config import build_from_config
-from repro.validation import campaign_config
-from repro.workloads import (
-    WorkloadRunner,
-    append_trajectory,
-    make_workload,
-    measure_overhead_ladder,
-)
+from repro.validation import campaign_config, overhead_leg, overhead_rung
+from repro.workloads import WorkloadRunner, make_workload, status_histogram
 
 WORKLOAD = make_workload(60, seed=42)
 
 
 def test_bench_overhead_direct(benchmark):
     def run_direct():
-        cloud, monitor = build_from_config(campaign_config())
-        runner = WorkloadRunner(cloud, monitor)
-        return runner.execute(WORKLOAD, monitored=False)
+        cloud, _monitor = build_from_config(campaign_config())
+        return WorkloadRunner(cloud).execute(WORKLOAD, monitored=False)
 
-    histogram = benchmark(run_direct)
-    assert sum(histogram.values()) == len(WORKLOAD)
-    print(f"\n[OVERHEAD] direct run histogram: {histogram}")
+    statuses = benchmark(run_direct)
+    assert len(statuses) == len(WORKLOAD)
+    print(f"\n[OVERHEAD] direct run histogram: "
+          f"{status_histogram(statuses)}")
 
 
 def test_bench_overhead_monitored(benchmark):
     def run_monitored():
-        cloud, monitor = build_from_config(campaign_config())
-        runner = WorkloadRunner(cloud, monitor)
-        return runner.execute(WORKLOAD, monitored=True)
+        cloud, _monitor = build_from_config(campaign_config())
+        return WorkloadRunner(cloud).execute(WORKLOAD, monitored=True)
 
-    histogram = benchmark(run_monitored)
-    assert sum(histogram.values()) == len(WORKLOAD)
-    print(f"\n[OVERHEAD] monitored run histogram: {histogram}")
+    statuses = benchmark(run_monitored)
+    assert len(statuses) == len(WORKLOAD)
+    print(f"\n[OVERHEAD] monitored run histogram: "
+          f"{status_histogram(statuses)}")
 
 
 def test_bench_overhead_factor_and_snapshot_size(benchmark):
     """The analysis row: overhead factor, probes, and snapshot bytes."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    cloud, monitor = build_from_config(campaign_config())
-    runner = WorkloadRunner(cloud, monitor)
-
+    cloud, _monitor = build_from_config(campaign_config())
     started = time.perf_counter()
-    runner.execute(WORKLOAD, monitored=False)
+    WorkloadRunner(cloud).execute(WORKLOAD, monitored=False)
     direct_elapsed = time.perf_counter() - started
 
     cloud, monitor = build_from_config(campaign_config())
-    runner = WorkloadRunner(cloud, monitor)
     started = time.perf_counter()
-    runner.execute(WORKLOAD, monitored=True)
+    WorkloadRunner(cloud).execute(WORKLOAD, monitored=True)
     monitored_elapsed = time.perf_counter() - started
 
     factor = monitored_elapsed / max(direct_elapsed, 1e-9)
@@ -95,15 +87,14 @@ def test_bench_overhead_probe_planning(benchmark):
     def run(probe_planning):
         cloud, monitor = build_from_config(campaign_config(
             probe_planning=probe_planning))
-        runner = WorkloadRunner(cloud, monitor)
         started = time.perf_counter()
-        histogram = runner.execute(WORKLOAD, monitored=True)
+        statuses = WorkloadRunner(cloud).execute(WORKLOAD, monitored=True)
         elapsed = time.perf_counter() - started
         skipped = monitor.obs.metrics.counter(
             "monitor_probes_skipped_total",
             "GET probes the demand-driven plan proved unnecessary").value
         return {
-            "histogram": histogram,
+            "statuses": statuses,
             "rows": [verdict.to_dict() for verdict in monitor.log],
             "coverage": {rid: (r.exercised, r.passed, r.failed)
                          for rid, r in monitor.coverage.records.items()},
@@ -125,14 +116,14 @@ def test_bench_overhead_probe_planning(benchmark):
           f"{planned['elapsed'] * 1e3:8.2f} ms")
 
     # Planning only removes probes; every verdict stays byte-identical.
-    assert planned["histogram"] == unplanned["histogram"]
+    assert planned["statuses"] == unplanned["statuses"]
     assert planned["rows"] == unplanned["rows"]
     assert planned["coverage"] == unplanned["coverage"]
     assert planned["probes"] < unplanned["probes"]
     assert planned["skipped"] > 0
 
 
-def test_bench_overhead_sampling_ladder(benchmark, tmp_path):
+def test_bench_overhead_sampling_ladder(benchmark):
     """The obs-layer row: 1x/10x/100x volume through a sampled fleet.
 
     Sampling exists so the observability layer's cost stays bounded as
@@ -144,40 +135,31 @@ def test_bench_overhead_sampling_ladder(benchmark, tmp_path):
     * p99 ``obs_overhead_seconds`` at 100x stays within 2x of 1x (the
       fleet runs on a manual clock, so the histogram counts operations,
       not host speed -- per-request obs cost must not grow with volume).
-
-    The ladder entry is appended to a trajectory file under
-    ``tmp_path`` and must read back; the tracked ``BENCH_scaling.json``
-    is never rewritten.
     """
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    entry = measure_overhead_ladder(base=16, factors=(1, 10, 100))
+    rungs = [overhead_rung(overhead_leg(16 * factor, shards=4, rate=0.1,
+                                        seed=0))
+             for factor in (1, 10, 100)]
+    p99_ratio = rungs[-1]["overhead_p99"] / rungs[0]["overhead_p99"]
 
     print("\n[OVERHEAD] volume  retained/bound  decisions "
           "(kept/dropped/forced)  p99 obs")
-    for rung in entry["rungs"]:
+    for rung in rungs:
         decisions = rung["decisions"]
         print(f"[OVERHEAD] {rung['requests']:<7} "
               f"{rung['retained']:>5}/{rung['ring_bound']:<7} "
               f"{decisions.get('kept', 0)}/{decisions.get('dropped', 0)}/"
               f"{decisions.get('forced', 0):<18} "
               f"{rung['overhead_p99']:.6f}s")
-    print(f"[OVERHEAD] p99 ratio 100x/1x: {entry['p99_ratio']:.2f} "
-          "(gate: <= 2.0)")
+    print(f"[OVERHEAD] p99 ratio 100x/1x: {p99_ratio:.2f} (gate: <= 2.0)")
 
-    for rung in entry["rungs"]:
+    for rung in rungs:
         assert sum(rung["decisions"].values()) == rung["begun"], \
             "sampling decisions must reconcile with traces begun"
         assert rung["decisions"].get("dropped", 0) == rung["events_shed"], \
             "every dropped trace sheds exactly its one wide event"
-    assert entry["retained_within_bound"], \
-        "retained traces exceeded the tracer ring bound"
-    assert entry["non_valid_retained"], \
-        "a non-valid verdict's trace was sampled away"
-    assert entry["p99_ratio"] <= 2.0, \
-        "p99 obs overhead grew with volume"
-
-    trajectory = append_trajectory(str(tmp_path / "BENCH_scaling.json"),
-                                   {"timestamp": entry["timestamp"],
-                                    "obs_overhead": entry})
-    assert trajectory["entries"][-1]["obs_overhead"]["p99_ratio"] \
-        == entry["p99_ratio"]
+        assert rung["retained"] <= rung["ring_bound"], \
+            "retained traces exceeded the tracer ring bound"
+        assert rung["non_valid_missing"] == 0, \
+            "a non-valid verdict's trace was sampled away"
+    assert p99_ratio <= 2.0, "p99 obs overhead grew with volume"

@@ -12,50 +12,58 @@ Three questions the resilient transport must answer with numbers:
   request to ``indeterminate``.
 """
 
-import json
-
-from repro.validation import run_leg
-from repro.validation.chaos import (
+from repro.validation import (
+    chaos_config,
+    indeterminate,
     recoverable_program,
+    retries,
+    run_leg,
     unrecoverable_program,
 )
+from repro.workloads import make_workload
 
 COUNT = 30
 SEED = 7
+WORKLOAD = make_workload(COUNT, seed=SEED)
+
+
+def leg(*faults):
+    """The chaos workload through the resilient transport, under *faults*."""
+    return run_leg(chaos_config(), WORKLOAD, faults)
 
 
 def test_bench_resilient_fault_free(benchmark):
-    leg = benchmark(run_leg, COUNT, SEED, None)
-    assert leg.retries == 0
-    assert leg.indeterminate == 0
+    record = benchmark(leg)
+    assert retries(record) == 0
+    assert indeterminate(record) == 0
 
 
 def test_bench_resilient_recoverable_faults(benchmark):
-    leg = benchmark(run_leg, COUNT, SEED, recoverable_program)
-    assert leg.retries > 0
-    assert leg.indeterminate == 0
+    record = benchmark(leg, recoverable_program)
+    assert retries(record) > 0
+    assert indeterminate(record) == 0
 
 
 def test_bench_resilient_dead_substrate(benchmark):
-    leg = benchmark(run_leg, COUNT, SEED, unrecoverable_program)
-    assert leg.indeterminate == len(leg.rows)
+    record = benchmark(leg, unrecoverable_program)
+    assert indeterminate(record) == len(record.rows)
 
 
 def test_bench_resilience_verdict_parity(benchmark):
     """Parity report: recoverable faults leave the verdict stream intact."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    baseline = run_leg(COUNT, SEED, None)
-    faulted = run_leg(COUNT, SEED, recoverable_program)
+    baseline = leg()
+    faulted = leg(recoverable_program)
     assert faulted.rows == baseline.rows
-    dead = run_leg(COUNT, SEED, unrecoverable_program)
-    verdicts = {json.loads(row)["verdict"] for row in dead.rows}
-    assert verdicts == {"indeterminate"}
+    dead = leg(unrecoverable_program)
+    assert {verdict.verdict for verdict in dead.verdicts} \
+        == {"indeterminate"}
     # probe_count ticks once per *logical* probe; the retry attempts live
     # inside the transport, so the fault tax shows up as retries, not as
     # extra probes.
     assert faulted.probe_count == baseline.probe_count
     print(f"\n[RESILIENCE] {len(baseline.rows)} verdicts byte-identical "
-          f"under recoverable faults; {faulted.retries:.0f} transport "
+          f"under recoverable faults; {retries(faulted):.0f} transport "
           f"retries absorbed over {baseline.probe_count} logical probes; "
-          f"dead substrate -> {dead.indeterminate}/{len(dead.rows)} "
+          f"dead substrate -> {indeterminate(dead)}/{len(dead.rows)} "
           "indeterminate")

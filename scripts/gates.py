@@ -54,34 +54,40 @@ def require(condition, message: str) -> None:
         raise GateFailure(message)
 
 
-def _require_parity(report, label: str, what: str) -> None:
-    """*report* is a baseline-vs-other verdict comparison (ChaosReport)."""
-    require(report.parity, f"{what} changed the {label} verdict stream "
-            f"(first divergence at row {report.first_divergence()})")
+def _require_parity(baseline, other, label: str, what: str) -> None:
+    """*other*'s verdict rows equal *baseline*'s (two leg records)."""
+    from repro.validation import first_divergence
+
+    require(baseline.rows == other.rows,
+            f"{what} changed the {label} verdict stream (first divergence "
+            f"at row {first_divergence(baseline, other)})")
 
 
-def _require_stream_parity(report, what: str) -> None:
-    """*report* compares verdicts, metrics and events (overload legs)."""
-    require(report.parity, f"{what} changed the calm workload (equal "
-            f"verdicts/metrics/events: {report.verdict_parity}/"
-            f"{report.metrics_parity}/{report.events_parity})")
+def _require_stream_parity(parity, what: str) -> None:
+    """*parity* compares verdicts, metrics and events (calm legs)."""
+    require(parity["parity"], f"{what} changed the calm workload (equal "
+            f"verdicts/metrics/events: {parity['verdict_parity']}/"
+            f"{parity['metrics_parity']}/{parity['events_parity']})")
 
 
 # -- the gates -------------------------------------------------------------
 
 def probe_budget():
     """GET probes per monitored request, planning on, cache off and on."""
-    from repro.validation import measure_probe_rate
+    from repro.validation import campaign_config, probes_per_request, run_leg
+    from repro.workloads import make_workload
 
-    uncached = measure_probe_rate(count=60, seed=42)
-    cached = measure_probe_rate(count=60, seed=42, probe_cache=True)
-    require(cached["probes_per_request"] < CACHED_CEILING,
-            f"cached probe rate {cached['probes_per_request']:.4f} is not "
-            f"below the {CACHED_CEILING:.2f} ceiling")
+    workload = make_workload(60, seed=42)
+    uncached = run_leg(campaign_config(), workload)
+    cached = run_leg(campaign_config(probe_cache=True), workload)
+    rate = probes_per_request(cached)
+    require(rate < CACHED_CEILING,
+            f"cached probe rate {rate:.4f} is not below the "
+            f"{CACHED_CEILING:.2f} ceiling")
     return {
-        "probes_per_request": uncached["probes_per_request"],
-        "cached_probes_per_request": cached["probes_per_request"],
-        "cache": cached["cache"],
+        "probes_per_request": probes_per_request(uncached),
+        "cached_probes_per_request": rate,
+        "cache": cached.monitors[0].probe_cache.stats(),
     }
 
 
@@ -89,36 +95,45 @@ def chaos():
     """Recoverable faults change no verdict; a dead substrate is
     indeterminate throughout."""
     from repro.validation import (assert_indeterminate_degradation,
-                                  run_chaos_campaign)
+                                  chaos_config, indeterminate,
+                                  recoverable_program, run_leg)
+    from repro.workloads import make_workload
 
-    report = run_chaos_campaign(count=COUNT, seed=SEED)
-    _require_parity(report, "serial", "recoverable faults")
+    workload = make_workload(COUNT, seed=SEED)
+    baseline = run_leg(chaos_config(), workload)
+    _require_parity(baseline, run_leg(chaos_config(), workload,
+                                      (recoverable_program,)),
+                    "serial", "recoverable faults")
     dead = assert_indeterminate_degradation(count=10, seed=SEED)
     return {
-        "verdict_digest": report.baseline.digest(),
-        "verdict_count": len(report.baseline.rows),
-        "dead_substrate_indeterminate": dead.indeterminate,
+        "verdict_digest": baseline.digest(),
+        "verdict_count": len(baseline.rows),
+        "dead_substrate_indeterminate": indeterminate(dead),
     }
 
 
 def cache_parity():
     """The probe cache changes no verdict, and probes less."""
-    from repro.validation import (recoverable_program,
-                                  run_cache_parity_campaign)
+    from repro.validation import chaos_config, recoverable_program, run_leg
+    from repro.workloads import make_workload
 
-    clean = run_cache_parity_campaign(count=COUNT, seed=SEED)
-    faulted = run_cache_parity_campaign(count=COUNT, seed=SEED,
-                                        fault_factory=recoverable_program)
-    _require_parity(clean, "clean", "the probe cache")
-    _require_parity(faulted, "fail-once", "the probe cache")
-    require(clean.faulted.probe_count < clean.baseline.probe_count,
-            f"the cached leg issued {clean.faulted.probe_count} probes, "
-            f"not fewer than the uncached {clean.baseline.probe_count}; "
-            "is the cache wired in?")
+    workload = make_workload(COUNT, seed=SEED)
+    uncached = {}
+    for label, faults in (("clean", ()),
+                          ("fail-once", (recoverable_program,))):
+        uncached[label] = run_leg(chaos_config(), workload, faults)
+        cached = run_leg(chaos_config(probe_cache=True), workload, faults)
+        _require_parity(uncached[label], cached, label, "the probe cache")
+        if label == "clean":
+            require(cached.probe_count < uncached[label].probe_count,
+                    f"the cached leg issued {cached.probe_count} probes, "
+                    f"not fewer than the uncached "
+                    f"{uncached[label].probe_count}; is the cache wired "
+                    "in?")
     return {
-        "clean_digest": clean.baseline.digest(),
-        "faulted_digest": faulted.baseline.digest(),
-        "verdict_count": len(clean.baseline.rows),
+        "clean_digest": uncached["clean"].digest(),
+        "faulted_digest": uncached["fail-once"].digest(),
+        "verdict_count": len(uncached["clean"].rows),
     }
 
 
@@ -126,40 +141,42 @@ def fanout():
     """Fan-out and the sharded fleet change no verdict, clean or
     faulted; the fan-out legs run behind a slow substrate, so their
     probes really overlap."""
-    from repro.validation import (ChaosReport, flaky_program,
-                                  recoverable_program, run_fleet_leg,
-                                  run_leg, unrecoverable_program)
+    from repro.validation import (chaos_config, flaky_program, real_latency,
+                                  recoverable_program, run_leg,
+                                  unrecoverable_program)
+    from repro.workloads import make_workload
 
+    workload = make_workload(COUNT, seed=SEED)
+    slow = (real_latency(FANOUT_LATENCY),)
     serial = {}
-    for label, faults in (("clean", None),
-                          ("fail-once", recoverable_program),
-                          ("flaky", flaky_program)):
-        reference = run_leg(COUNT, SEED, faults)
+    for label, faults in (("clean", ()),
+                          ("fail-once", (recoverable_program,)),
+                          ("flaky", (flaky_program,))):
+        reference = run_leg(chaos_config(), workload, faults)
         legs = {
-            "fanout": run_leg(COUNT, SEED, faults, fanout=FANOUT,
-                              latency=FANOUT_LATENCY),
-            "fleet": run_fleet_leg(COUNT, SEED, faults, shards=SHARDS),
-            "fleet+fanout": run_fleet_leg(COUNT, SEED, faults,
-                                          shards=SHARDS, fanout=FANOUT,
-                                          latency=FANOUT_LATENCY),
+            "fanout": run_leg(chaos_config(fanout=FANOUT), workload,
+                              slow + faults),
+            "fleet": run_leg(chaos_config(shards=SHARDS), workload, faults),
+            "fleet+fanout": run_leg(
+                chaos_config(shards=SHARDS, fanout=FANOUT), workload,
+                slow + faults),
         }
         for leg_name, leg in legs.items():
-            _require_parity(ChaosReport(reference, leg), label, leg_name)
+            _require_parity(reference, leg, label, leg_name)
             require(leg_name == "fleet" or leg.dispatched > 0,
                     f"the {label} {leg_name} leg never reached the pool; "
                     "its parity is vacuous")
         serial[label] = reference
     # Fail-once is fully recoverable, so its stream equals the clean
     # one; flaky faults may exhaust retries, so only the legs agree.
-    _require_parity(ChaosReport(serial["clean"], serial["fail-once"]),
-                    "serial", "recoverable faults")
+    _require_parity(serial["clean"], serial["fail-once"], "serial",
+                    "recoverable faults")
     # No dispatch requirement here: the breakers open after 5 failures
     # and then fail fast, so no probe window ever fills with slow sends.
-    dead = run_fleet_leg(count=10, seed=SEED,
-                         fault_factory=unrecoverable_program,
-                         shards=SHARDS, fanout=FANOUT,
-                         latency=FANOUT_LATENCY)
-    verdicts = {json.loads(row)["verdict"] for row in dead.rows}
+    dead = run_leg(chaos_config(shards=SHARDS, fanout=FANOUT),
+                   make_workload(10, seed=SEED),
+                   slow + (unrecoverable_program,))
+    verdicts = {verdict.verdict for verdict in dead.verdicts}
     require(verdicts == {"indeterminate"},
             f"a dead substrate through the fleet gave {sorted(verdicts)}")
     return {
@@ -198,25 +215,6 @@ def slo():
     return digests
 
 
-#: A pre-versioning flat document covering every legacy key class.
-LEGACY_V0 = {
-    "scenario": "cinder",
-    "project_id": "myProject",
-    "enforcing": False,
-    "volume_quota": 5,
-    "probe_planning": True,
-    "probe_cache": True,
-    "fanout": 2,
-    "shards": 4,
-    "router_seed": 0,
-    "resilient": True,
-    "retry": {"max_attempts": 3, "base_delay": 0.05, "seed": 11},
-    "failure_threshold": 5,
-    "recovery_time": 30.0,
-    "manual_clock": True,
-}
-
-
 def _require_round_trip(config, label: str) -> None:
     from repro.config import config_digest, dumps, loads
 
@@ -228,27 +226,12 @@ def _require_round_trip(config, label: str) -> None:
 
 
 def config():
-    """Config round trips and migrations are lossless, and every
-    shipped example config validates and builds."""
-    from repro.config import (MonitorConfig, build_from_config,
-                              config_digest, loads, migrate)
+    """Config round trips are lossless, and every shipped example
+    config validates and builds."""
+    from repro.config import MonitorConfig, loads
+    from repro.validation import run_leg
 
-    defaults = MonitorConfig()
-    _require_round_trip(defaults, "defaults")
-    require(config_digest(MonitorConfig.from_dict(
-        migrate(defaults.to_dict()))) == config_digest(defaults),
-        "defaults: migrate is not digest-neutral on a current document")
-
-    lifted = migrate(LEGACY_V0)
-    require(migrate(lifted) == lifted, "legacy v0: migrate is not "
-            "idempotent")
-    legacy = MonitorConfig.from_dict(lifted)
-    require((legacy.fleet.shards, legacy.monitor.fanout,
-             legacy.resilience.enabled, legacy.resilience.seed,
-             legacy.observability.clock, legacy.monitor.probe_cache)
-            == (4, 2, True, 11, "manual", True),
-            "legacy v0: migrated values diverge from the flat document")
-    _require_round_trip(legacy, "legacy v0")
+    _require_round_trip(MonitorConfig(), "defaults")
 
     built = []
     for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.yaml"))
@@ -263,8 +246,7 @@ def config():
         problems = parsed.validate()
         require(not problems, f"{name}: {'; '.join(problems)}")
         _require_round_trip(parsed, name)
-        _, deployment = build_from_config(parsed)
-        deployment.close()
+        run_leg(parsed, [])
         built.append(name)
     require(built, "no example configs found under examples/")
     return {"examples": built}
@@ -278,12 +260,15 @@ BURST_KEYS = ("requests", "shed", "modes_seen", "transitions",
 def overload():
     """Generous overload controls are invisible; the burst degrades
     and recovers."""
-    from repro.validation import (assert_burst_invariants,
-                                  run_parity_campaign)
+    from repro.validation import (assert_burst_invariants, burst_leg,
+                                  burst_summary, calm_leg, generous_config,
+                                  overload_config, stream_parity)
 
-    _require_stream_parity(run_parity_campaign(),
-                           "generous overload controls")
-    summary = assert_burst_invariants().to_dict()
+    _require_stream_parity(
+        stream_parity(calm_leg(overload_config(enabled=False)),
+                      calm_leg(generous_config())),
+        "generous overload controls")
+    summary = burst_summary(assert_burst_invariants(burst_leg()))
     return {key: summary[key] for key in BURST_KEYS}
 
 
@@ -294,13 +279,21 @@ RUNG_KEYS = ("requests", "shards", "rate", "seed", "decisions",
 def overhead():
     """A disabled sampling block is invisible; the sampled ladder
     reconciles."""
-    from repro.validation import (assert_sampling_invariants,
-                                  run_sampling_parity_campaign)
+    from repro.validation import (DISABLED_SAMPLING,
+                                  assert_sampling_invariants, calm_leg,
+                                  overhead_leg, overhead_rung,
+                                  sampling_config, stream_parity)
+    from repro.validation.sampling import INVARIANT_RATE, INVARIANT_SEED
 
-    _require_stream_parity(run_sampling_parity_campaign(),
-                           "a disabled sampling block")
+    _require_stream_parity(
+        stream_parity(calm_leg(sampling_config()),
+                      calm_leg(sampling_config(DISABLED_SAMPLING))),
+        "a disabled sampling block")
+    rungs = [overhead_rung(overhead_leg(requests, SHARDS, INVARIANT_RATE,
+                                        INVARIANT_SEED))
+             for requests in (16, 64)]
     return {"rungs": [{key: rung[key] for key in RUNG_KEYS}
-                      for rung in assert_sampling_invariants()]}
+                      for rung in assert_sampling_invariants(rungs)]}
 
 
 GATES = {gate.__name__: gate for gate in (

@@ -45,9 +45,9 @@ from .errors import ReproError
 from .rbac import SecurityRequirementsTable
 from .validation import (
     MutationCampaign,
-    TestOracle,
     campaign_config,
     extended_battery,
+    run_leg,
     standard_battery,
 )
 
@@ -70,14 +70,13 @@ def cmd_contracts(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    cloud, monitor = build_from_config(campaign_config(
-        enforcing=args.enforcing, probe_cache=args.probe_cache))
-    oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
-    oracle.run(battery)
+    leg = run_leg(campaign_config(enforcing=args.enforcing,
+                                  probe_cache=args.probe_cache), battery)
+    monitor = leg.monitors[0]
     print(f"{'step':<24} {'status':>6}  verdict")
-    for (name, response), verdict in zip(oracle.results, monitor.log):
-        print(f"{name:<24} {response.status_code:>6}  {verdict.verdict}")
+    for step, status, verdict in zip(battery, leg.statuses, leg.verdicts):
+        print(f"{step.name:<24} {status:>6}  {verdict.verdict}")
     print()
     print(monitor.coverage.report())
     if monitor.probe_cache is not None:
@@ -109,29 +108,39 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from .validation import (assert_breaker_sequence,
-                             assert_indeterminate_degradation,
-                             run_chaos_campaign)
+                             assert_indeterminate_degradation, chaos_config,
+                             first_divergence, indeterminate,
+                             recoverable_program, retries)
+    from .workloads import make_workload
 
-    report = run_chaos_campaign(count=args.requests, seed=args.seed)
-    summary = report.to_dict()
+    workload = make_workload(args.requests, seed=args.seed)
+    baseline = run_leg(chaos_config(), workload)
+    faulted = run_leg(chaos_config(), workload, (recoverable_program,))
+    parity = baseline.rows == faulted.rows
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(json.dumps({
+            "parity": parity,
+            "baseline_digest": baseline.digest(),
+            "faulted_digest": faulted.digest(),
+            "verdict_count": len(baseline.rows),
+            "faulted_retries": retries(faulted),
+            "faulted_indeterminate": indeterminate(faulted),
+        }, indent=2, sort_keys=True))
     else:
-        print(f"chaos campaign: {summary['verdict_count']} monitored "
+        print(f"chaos campaign: {len(baseline.rows)} monitored "
               f"requests, seed {args.seed}")
-        print(f"  retries absorbed:     "
-              f"{summary['faulted_retries']:.0f}")
-        print(f"  verdict parity:       "
-              f"{'OK' if report.parity else 'BROKEN'}")
-        if not report.parity:
-            print(f"  first divergence at row {report.first_divergence()}")
+        print(f"  retries absorbed:     {retries(faulted):.0f}")
+        print(f"  verdict parity:       {'OK' if parity else 'BROKEN'}")
+        if not parity:
+            print(f"  first divergence at row "
+                  f"{first_divergence(baseline, faulted)}")
     try:
         dead = assert_indeterminate_degradation(count=10, seed=args.seed)
     except AssertionError as exc:
         print(f"  dead substrate:       FAILED ({exc})", file=sys.stderr)
         return 1
     if not args.json:
-        print(f"  dead substrate:       {dead.indeterminate}/"
+        print(f"  dead substrate:       {indeterminate(dead)}/"
               f"{len(dead.rows)} indeterminate")
     try:
         transitions = assert_breaker_sequence()
@@ -141,7 +150,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if not args.json:
         print("  breaker lifecycle:    "
               + " -> ".join(["closed"] + [to for _, to in transitions]))
-    return 0 if report.parity else 1
+    return 0 if parity else 1
 
 
 def cmd_overload(args: argparse.Namespace) -> int:
@@ -155,23 +164,24 @@ def cmd_overload(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .validation import run_burst_campaign, run_parity_campaign
+    from .validation import (burst_leg, burst_summary, calm_leg,
+                             generous_config, overload_config, stream_parity)
 
-    parity = run_parity_campaign()
-    burst = run_burst_campaign()
+    parity = stream_parity(calm_leg(overload_config(enabled=False)),
+                           calm_leg(generous_config()))
+    summary = burst_summary(burst_leg())
+    ok = parity["parity"] and summary["ok"]
     if args.json:
-        print(json.dumps({"parity": parity.to_dict(),
-                          "burst": burst.to_dict()},
+        print(json.dumps({"parity": parity, "burst": summary},
                          indent=2, sort_keys=True))
-        return 0 if parity.parity and burst.ok else 1
-    summary = burst.to_dict()
-    print(f"overload campaign: {parity.to_dict()['verdict_count']} calm + "
+        return 0 if ok else 1
+    print(f"overload campaign: {parity['verdict_count']} calm + "
           f"{summary['requests']} burst requests")
     print(f"  parity (generous controls): "
-          f"{'OK' if parity.parity else 'BROKEN'} "
-          f"(verdicts {'=' if parity.verdict_parity else '!='}, "
-          f"metrics {'=' if parity.metrics_parity else '!='}, "
-          f"events {'=' if parity.events_parity else '!='})")
+          f"{'OK' if parity['parity'] else 'BROKEN'} "
+          f"(verdicts {'=' if parity['verdict_parity'] else '!='}, "
+          f"metrics {'=' if parity['metrics_parity'] else '!='}, "
+          f"events {'=' if parity['events_parity'] else '!='})")
     print(f"  burst answered/forwarded:   "
           f"{summary['verdicts']}/{summary['requests']} "
           f"({'all forwarded' if summary['all_forwarded'] else 'BLOCKED'})")
@@ -181,49 +191,25 @@ def cmd_overload(args: argparse.Namespace) -> int:
     print(f"  ladder transitions:         "
           + ", ".join(f"{a}->{b}" for a, b in summary['transitions']))
     print(f"  final mode:                 {summary['final_mode']}")
-    return 0 if parity.parity and burst.ok else 1
+    return 0 if ok else 1
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Replay the chaos workload through a sharded fleet, or bench it.
+    """Replay the chaos workload through a sharded fleet.
 
-    The default mode proves dispatch correctness: the fleet's merged,
-    arrival-ordered verdict stream must be byte-identical to a serial
-    single-monitor run of the same seeded workload.  ``--bench`` instead
-    measures throughput across a shard ladder and appends the sweep to
-    the persisted ``BENCH_scaling.json`` trajectory.
+    Proves dispatch correctness: the fleet's merged, arrival-ordered
+    verdict stream must be byte-identical to a serial single-monitor
+    run of the same seeded workload.
     """
     import json
 
-    if args.bench:
-        from .workloads import append_trajectory, scaling_sweep
+    from .validation import chaos_config, indeterminate
+    from .workloads import make_workload
 
-        ladder = sorted({1, args.shards})
-        entry = scaling_sweep(shard_counts=ladder, requests=args.requests,
-                              latency=args.latency, fanout=args.fanout)
-        if args.trajectory:
-            append_trajectory(args.trajectory, entry)
-        if args.json:
-            print(json.dumps(entry, indent=2, sort_keys=True))
-        else:
-            for run in entry["runs"]:
-                print(f"  {run['shards']} shard(s): "
-                      f"{run['throughput']:.1f} req/s "
-                      f"({run['requests']} requests, "
-                      f"{run['failures']} failures)")
-            print(f"  speedup at {entry['peak_shards']} shards: "
-                  f"{entry['speedup']:.2f}x")
-            if args.trajectory:
-                print(f"  trajectory appended to {args.trajectory}")
-        return 0
-
-    from .validation import run_fleet_leg, run_leg
-
-    serial = run_leg(count=args.requests, seed=args.seed,
-                     probe_cache=args.probe_cache)
-    fleet = run_fleet_leg(count=args.requests, seed=args.seed,
-                          shards=args.shards, fanout=args.fanout,
-                          probe_cache=args.probe_cache)
+    workload = make_workload(args.requests, seed=args.seed)
+    serial = run_leg(chaos_config(probe_cache=args.probe_cache), workload)
+    fleet = run_leg(chaos_config(shards=args.shards, fanout=args.fanout,
+                                 probe_cache=args.probe_cache), workload)
     parity = serial.rows == fleet.rows
     summary = {
         "shards": args.shards,
@@ -235,7 +221,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         "fleet_digest": fleet.digest(),
         "parity": parity,
         "probe_count": fleet.probe_count,
-        "indeterminate": fleet.indeterminate,
+        "indeterminate": indeterminate(fleet),
     }
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -250,7 +236,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _monitored_session(args: argparse.Namespace):
-    """Replay a battery through a fresh monitor; returns (obs, monitor).
+    """Replay a battery through a fresh monitor; returns the monitor.
 
     ``--deterministic`` injects a ManualClock (fixed tick per clock read)
     so every emitted duration, event timestamp, and SLO report is
@@ -268,18 +254,15 @@ def _monitored_session(args: argparse.Namespace):
                          clock="manual" if args.deterministic else "system",
                          tick=1e-4 if args.deterministic else 0.0,
                          sampling=sampling))
-    cloud, monitor = build_from_config(config)
-    oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
-    oracle.run(battery)
-    return monitor.obs, monitor
+    return run_leg(config, battery).monitors[0]
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Run a monitored session and print its metrics exposition."""
     import json
 
-    obs, _monitor = _monitored_session(args)
+    obs = _monitored_session(args).obs
     if args.json:
         print(json.dumps(obs.export_json(), indent=2, sort_keys=True))
     else:
@@ -328,7 +311,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     """
     import json
 
-    obs, _monitor = _monitored_session(args)
+    obs = _monitored_session(args).obs
     criteria = {}
     if args.event:
         criteria["event"] = args.event
@@ -366,7 +349,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     """
     import json
 
-    _obs, monitor = _monitored_session(args)
+    monitor = _monitored_session(args)
     report = monitor.slos.report()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -384,8 +367,7 @@ def _degraded_alarm_session():
     it heals and the burn windows drain -- is byte-identical across
     runs.  The ``slo`` gate in ``scripts/gates.py`` pins its digest.
     """
-    from .validation.chaos import (CHAOS_HOSTS, chaos_config,
-                                   unrecoverable_program)
+    from .validation import HOSTS, chaos_config, unrecoverable_program
 
     cloud, monitor = build_from_config(chaos_config())
     clock = monitor.obs.clock
@@ -397,10 +379,10 @@ def _degraded_alarm_session():
             monitor.app.get(url, headers={"X-Auth-Token": token})
 
     replay(6)                                   # healthy baseline
-    for host in CHAOS_HOSTS:
-        cloud.network.inject_fault(host, unrecoverable_program())
+    for host in HOSTS:
+        cloud.network.inject_fault(host, unrecoverable_program(clock))
     replay(6)                                   # burn: escalate
-    for host in CHAOS_HOSTS:
+    for host in HOSTS:
         cloud.network.clear_fault(host)
     clock.advance(3600.5)                       # drain both burn windows
     replay(8)                                   # recover: stand down
@@ -418,7 +400,7 @@ def cmd_alarms(args: argparse.Namespace) -> int:
     if args.degraded:
         _cloud, monitor = _degraded_alarm_session()
     else:
-        _obs, monitor = _monitored_session(args)
+        monitor = _monitored_session(args)
     report = monitor.alarms.report()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -436,69 +418,25 @@ def _load_config_document(path: str):
 
 
 def cmd_config(args: argparse.Namespace) -> int:
-    """Inspect, validate, and migrate declarative monitor configs."""
-    import json
-
-    from .config import (CONFIG_VERSION, MonitorConfig, config_digest,
-                         dumps, loads, migrate, needs_migration)
+    """Inspect and validate declarative monitor configs."""
+    from .config import CONFIG_VERSION, MonitorConfig, config_digest, dumps
 
     if args.config_command == "show":
-        if args.path:
-            config = MonitorConfig.from_dict(migrate(
-                _load_config_document(args.path)))
-        else:
-            config = MonitorConfig()
+        config = (MonitorConfig.from_dict(_load_config_document(args.path))
+                  if args.path else MonitorConfig())
         print(dumps(config, format=args.format), end="")
         print(f"# digest: sha256:{config_digest(config)}",
               file=sys.stderr)
         return 0
 
-    if args.config_command == "validate":
-        document = _load_config_document(args.path)
-        if needs_migration(document):
-            print(f"{args.path}: config_version "
-                  f"{document.get('config_version', 0)} needs migration "
-                  f"(run `cloudmon config migrate {args.path}`)",
-                  file=sys.stderr)
-            return 1
-        config = MonitorConfig.from_dict(document)
-        problems = config.validate()
-        if problems:
-            for problem in problems:
-                print(f"{args.path}: {problem}", file=sys.stderr)
-            return 1
-        print(f"{args.path}: valid (config_version {CONFIG_VERSION}, "
-              f"digest sha256:{config_digest(config)[:16]}...)")
-        return 0
-
-    # migrate
-    document = _load_config_document(args.path)
-    migrated = migrate(document)
-    config = MonitorConfig.from_dict(migrated)
-    before = document.get("config_version", 0)
-    fresh = needs_migration(document)
-    digest = config_digest(config)
-    if not fresh:
-        # Round-trip losslessness proof: a current document re-parsed
-        # from its canonical dump must fingerprint identically.
-        reparsed = loads(dumps(config, format="json"))
-        assert config_digest(reparsed) == digest
-        print(f"{args.path}: already at config_version {CONFIG_VERSION}; "
-              f"round-trip digest stable (sha256:{digest[:16]}...)")
-        return 0
-    target = args.output or args.path
-    format = "json" if target.endswith(".json") else "yaml"
-    text = dumps(config, format=format)
-    if args.dry_run:
-        print(text, end="")
-        print(f"# would migrate {args.path} from config_version {before} "
-              f"to {CONFIG_VERSION} (digest sha256:{digest[:16]}...); "
-              "not written (--dry-run)", file=sys.stderr)
-        return 0
-    with open(target, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print(f"migrated {args.path} (config_version {before} -> "
-          f"{CONFIG_VERSION}) -> {target}")
+    config = MonitorConfig.from_dict(_load_config_document(args.path))
+    problems = config.validate()
+    if problems:
+        for problem in problems:
+            print(f"{args.path}: {problem}", file=sys.stderr)
+        return 1
+    print(f"{args.path}: valid (config_version {CONFIG_VERSION}, "
+          f"digest sha256:{config_digest(config)[:16]}...)")
     return 0
 
 
@@ -512,29 +450,24 @@ def cmd_run_config(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .config import MonitorConfig, migrate
-    from .workloads import WorkloadRunner, make_workload
+    from .config import MonitorConfig
+    from .workloads import make_workload, status_histogram
 
-    config = MonitorConfig.from_dict(migrate(
-        _load_config_document(args.config)))
-    cloud, deployment = build_from_config(config)
-    shards = getattr(deployment, "shards", None)
-    runner = (WorkloadRunner(cloud) if shards is not None
-              else WorkloadRunner(cloud, deployment))
-    histogram = runner.execute(make_workload(40, seed=7), monitored=True)
-    monitors = shards if shards is not None else [deployment]
+    config = MonitorConfig.from_dict(_load_config_document(args.config))
+    leg = run_leg(config, make_workload(40, seed=7))
     overall = "ok"
-    for monitor in monitors:
+    for monitor in leg.monitors:
         state = monitor.alarms.overall
         if monitor.alarms.has_critical():
             overall = "critical"
         elif state != "ok" and overall == "ok":
             overall = state
     print(f"deployment: scenario={config.scenario.name} "
-          f"shards={len(monitors)} "
+          f"shards={len(leg.monitors)} "
           f"enforcing={config.monitor.enforcing} "
           f"resilient={config.resilience.enabled}")
-    print("verdicts: " + json.dumps(histogram, sort_keys=True))
+    print("verdicts: " + json.dumps(status_histogram(leg.statuses),
+                                    sort_keys=True))
     print(f"alarms:   {overall}")
     return 1 if overall == "critical" else 0
 
@@ -603,17 +536,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .cloud import extended_mutants, paper_mutants
     from .validation import session_report
 
-    cloud, monitor = build_from_config(campaign_config())
-    oracle = TestOracle(cloud, monitor)
     battery = extended_battery() if args.extended else standard_battery()
-    oracle.run(battery)
+    leg = run_leg(campaign_config(), battery)
     mutants = extended_mutants() if args.extended else paper_mutants()
-    campaign = MutationCampaign(battery=battery)
-    result = campaign.run(mutants)
-    report = session_report(monitor, result)
+    result = MutationCampaign(battery=battery).run(mutants)
+    report = session_report(leg.monitors[0], result)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)
@@ -700,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet", help="sharded monitor fleet: verdict parity vs a serial "
-                      "run, or --bench for the throughput ladder")
+                      "run")
     fleet.add_argument("--shards", type=int, default=4,
                        help="number of monitor shards (default 4)")
     fleet.add_argument("--fanout", type=int, default=4,
@@ -712,18 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload size (default 40)")
     fleet.add_argument("--seed", type=int, default=7,
                        help="workload seed (default 7)")
-    fleet.add_argument("--bench", action="store_true",
-                       help="measure throughput at 1..--shards instead of "
-                            "checking parity")
-    fleet.add_argument("--latency", type=float, default=0.002,
-                       help="per-request substrate latency for --bench "
-                            "(default 2ms)")
-    fleet.add_argument("--trajectory", default=None,
-                       help="append --bench results to this "
-                            "BENCH_scaling.json trajectory file")
     fleet.add_argument("--probe-cache", action="store_true",
-                       help="per-shard probe caches (parity mode only; "
-                            "verdicts must match the uncached serial run)")
+                       help="per-shard probe caches (verdicts must match "
+                            "the uncached serial run)")
     fleet.add_argument("--json", action="store_true",
                        help="machine-readable summary")
 
@@ -814,8 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "stands the alarm down (always manual-clock)")
 
     config_parser = sub.add_parser(
-        "config", help="inspect, validate, and migrate declarative "
-                       "monitor configs")
+        "config", help="inspect and validate declarative monitor configs")
     config_sub = config_parser.add_subparsers(dest="config_command",
                                               required=True)
     config_show = config_sub.add_parser(
@@ -828,16 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     config_validate = config_sub.add_parser(
         "validate", help="strict schema + semantic validation")
     config_validate.add_argument("path", help="config file to validate")
-    config_migrate = config_sub.add_parser(
-        "migrate", help="lift an older document to the current "
-                        "config_version, losslessly by digest")
-    config_migrate.add_argument("path", help="config file to migrate")
-    config_migrate.add_argument("--dry-run", action="store_true",
-                                help="print the migrated document "
-                                     "without writing anything")
-    config_migrate.add_argument("--output", "-o", default=None,
-                                help="write to this file instead of "
-                                     "in place")
 
     dot = sub.add_parser("dot", help="Graphviz DOT of the design models")
     dot.add_argument("model", choices=["resources", "behavior"])

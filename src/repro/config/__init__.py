@@ -5,8 +5,8 @@ A deployment is data: a schema-versioned :class:`MonitorConfig`
 monitor options, resilience policy, fleet shape, SLO catalog, alarm
 rules, and notification sinks.  :func:`build_from_config` is the one
 way to stand it up -- clock first, then cloud, then monitor, so the
-recorded digests hold -- and :func:`~repro.config.migrate.migrate`
-lifts pre-versioning flat documents forward, losslessly by digest.
+recorded digests hold.  A document of any other ``config_version`` is
+refused.
 
 >>> cfg = loads(open("monitor.yaml").read())   # doctest: +SKIP
 >>> cloud, monitor = build_from_config(cfg)    # doctest: +SKIP
@@ -28,7 +28,6 @@ from .builder import (
     resilience_options,
     sampling_options,
 )
-from .migrate import migrate, needs_migration
 from .schema import (
     CONFIG_VERSION,
     AdmissionSection,
@@ -87,9 +86,7 @@ __all__ = [
     "dumps",
     "load",
     "loads",
-    "migrate",
     "monitor_options",
-    "needs_migration",
     "parse_text",
     "resilience_options",
     "sampling_options",

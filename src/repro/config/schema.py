@@ -5,7 +5,7 @@ plain data -- the cloud to stand up, the scenario to monitor, the
 monitor options (mode, planning, fan-out, probe cache), the resilience
 policy, the fleet shape, the SLO catalog with its burn windows, the
 alarm rules, and the notification sinks.  ``config_version: 1`` pins the
-shape; :mod:`repro.config.migrate` lifts older documents forward.
+shape, and a document of any other version is refused.
 
 The document is **canonical**: :meth:`MonitorConfig.to_dict` always
 emits every section with every field, so ``from_dict(to_dict(cfg)) ==
@@ -443,16 +443,16 @@ class MonitorConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "MonitorConfig":
         """Parse a version-1 document, strictly.
 
-        Older documents must go through
-        :func:`repro.config.migrate.migrate` first; this parser rejects
-        them so a stale file can never be half-read.
+        The version is checked first, so a document of another version
+        -- a flat pre-versioning one included -- is refused for its
+        version and can never be half-read.
         """
-        _check_keys(data, _TOP_LEVEL_KEYS, "config")
-        version = data.get("config_version")
+        version = (data.get("config_version")
+                   if isinstance(data, Mapping) else None)
         _require(version == CONFIG_VERSION,
                  f"config_version must be {CONFIG_VERSION}, got "
-                 f"{version!r} (run `cloudmon config migrate` on older "
-                 "documents)")
+                 f"{version!r}")
+        _check_keys(data, _TOP_LEVEL_KEYS, "config")
         return cls(
             cloud=_section_from_dict(CloudSection, data.get("cloud"),
                                      "cloud"),
@@ -678,7 +678,7 @@ def config_digest(config: MonitorConfig) -> str:
     """SHA-256 over the canonical JSON form -- the losslessness probe.
 
     Two configs with equal digests build identical deployments; the
-    ``dump -> migrate -> dump`` gate compares digests, not text, so
+    ``config`` gate's round trips compare digests, not text, so
     YAML/JSON cosmetics never matter.
     """
     return hashlib.sha256(config_to_json(config).encode()).hexdigest()

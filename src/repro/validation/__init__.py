@@ -7,6 +7,9 @@ package automates that experiment:
 * :mod:`repro.validation.oracle` -- the automated testing script of
   Section III-B (user 4): a request battery driven through the monitor,
   used as a test oracle,
+* :mod:`repro.validation.legs` -- :func:`run_leg`, the one way every
+  campaign and gate runs a deployment: build it, seed faults and a
+  mutant, drive traffic, close it, and return one :class:`LegRecord`,
 * :mod:`repro.validation.campaign` -- applies each mutant to a fresh
   cloud, replays the battery, and assembles the kill matrix.
 """
@@ -16,45 +19,45 @@ from .campaign import (
     KillRecord,
     MutationCampaign,
     campaign_config,
-    measure_probe_rate,
+    probes_per_request,
     release2_setup,
 )
 from .chaos import (
     EXPECTED_BREAKER_SEQUENCE,
-    ChaosReport,
-    ChaosRun,
     assert_breaker_sequence,
     assert_indeterminate_degradation,
     chaos_config,
     flaky_program,
+    indeterminate,
+    real_latency,
     recoverable_program,
+    retries,
     run_breaker_sequence,
-    run_cache_parity_campaign,
-    run_chaos_campaign,
-    run_fleet_leg,
-    run_leg,
     unrecoverable_program,
 )
+from .legs import HOSTS, LegRecord, first_divergence, run_leg
 from .localization import Diagnosis, localize, render_report
 from .overload import (
-    OverloadBurstReport,
-    OverloadParityReport,
-    OverloadRun,
     assert_burst_invariants,
     burst_config,
+    burst_leg,
+    burst_summary,
+    calm_leg,
     generous_config,
     make_burst_trace,
     make_calm_trace,
     overload_config,
-    run_burst_campaign,
-    run_overload_leg,
-    run_parity_campaign,
+    service_time,
+    stream_parity,
 )
 from .reporting import session_report
 from .sampling import (
+    DISABLED_SAMPLING,
     assert_sampling_invariants,
-    run_sampling_ladder,
-    run_sampling_parity_campaign,
+    overhead_config,
+    overhead_leg,
+    overhead_rung,
+    overhead_trace,
     sampling_config,
 )
 from .oracle import (
@@ -68,38 +71,41 @@ from .oracle import (
 __all__ = [
     "BatteryStep",
     "CampaignResult",
-    "ChaosReport",
-    "ChaosRun",
+    "DISABLED_SAMPLING",
     "Diagnosis",
+    "HOSTS",
     "KillRecord",
+    "LegRecord",
     "MutationCampaign",
-    "OverloadBurstReport",
-    "OverloadParityReport",
-    "OverloadRun",
     "TestOracle",
     "assert_burst_invariants",
     "assert_indeterminate_degradation",
     "assert_sampling_invariants",
     "burst_config",
+    "burst_leg",
+    "burst_summary",
+    "calm_leg",
     "campaign_config",
     "chaos_config",
+    "first_divergence",
     "flaky_program",
     "generous_config",
+    "indeterminate",
     "make_burst_trace",
     "make_calm_trace",
-    "measure_probe_rate",
+    "overhead_config",
+    "overhead_leg",
+    "overhead_rung",
+    "overhead_trace",
     "overload_config",
+    "probes_per_request",
+    "real_latency",
     "recoverable_program",
-    "run_burst_campaign",
-    "run_cache_parity_campaign",
-    "run_chaos_campaign",
-    "run_fleet_leg",
+    "retries",
     "run_leg",
-    "run_overload_leg",
-    "run_parity_campaign",
-    "run_sampling_ladder",
-    "run_sampling_parity_campaign",
     "sampling_config",
+    "service_time",
+    "stream_parity",
     "unrecoverable_program",
     "EXPECTED_BREAKER_SEQUENCE",
     "assert_breaker_sequence",

@@ -12,17 +12,14 @@ baseline must be violation-free for the campaign to be meaningful.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..cloud import Mutant, PrivateCloud
-from ..config import MonitorConfig, MonitorSection, build_from_config
+from ..config import MonitorConfig, MonitorSection
 from ..core.monitor import CloudMonitor
 from ..errors import ValidationError
-from .oracle import BatteryStep, TestOracle, standard_battery
-
-#: Builds a fresh (cloud, monitor) pair with the monitor registered on the
-#: network under the host name the oracle uses.
-SetupFactory = Callable[[], Tuple[PrivateCloud, CloudMonitor]]
+from .legs import LegRecord, run_leg
+from .oracle import BatteryStep, implicated_requirements, standard_battery
 
 
 def campaign_config(enforcing: bool = False,
@@ -35,8 +32,8 @@ def campaign_config(enforcing: bool = False,
     *acceptance* by the cloud is observable (that is how escalation
     mutants die).  *probe_cache* installs the cross-request
     :class:`~repro.core.probecache.ProbeCache` -- verdicts must not
-    change (the cache-parity gate), only the probe count.  Stand it up
-    with :func:`repro.config.build_from_config`.
+    change (the cache-parity gate), only the probe count.  Run it with
+    :func:`~repro.validation.legs.run_leg`.
     """
     return MonitorConfig(
         monitor=MonitorSection(enforcing=enforcing,
@@ -44,32 +41,10 @@ def campaign_config(enforcing: bool = False,
                                probe_cache=probe_cache))
 
 
-def measure_probe_rate(count: int = 60, seed: int = 42,
-                       probe_planning: bool = True,
-                       probe_cache: bool = False) -> dict:
-    """Probes per request on the seeded overhead workload.
-
-    The measurement behind the ``probe_budget`` gate: deterministic
-    (seeded RNG, in-process network), so the returned rate is exact,
-    not an estimate.  Includes the monitor's probe-cache counters when
-    the cache is enabled.
-    """
-    from ..workloads import WorkloadRunner, make_workload
-
-    workload = make_workload(count, seed=seed)
-    cloud, monitor = build_from_config(campaign_config(
-        probe_planning=probe_planning, probe_cache=probe_cache))
-    runner = WorkloadRunner(cloud, monitor)
-    runner.execute(workload, monitored=True)
-    result = {
-        "workload": {"count": len(workload), "seed": seed},
-        "probe_planning": probe_planning,
-        "probe_cache": probe_cache,
-        "probes_per_request": monitor.provider.probe_count / len(workload),
-    }
-    if monitor.probe_cache is not None:
-        result["cache"] = monitor.probe_cache.stats()
-    return result
+def probes_per_request(record: LegRecord) -> float:
+    """GET probes per monitored request -- the ``probe_budget`` gate's
+    measure, exact on a seeded workload."""
+    return record.probe_count / len(record.statuses)
 
 
 def release2_setup(enforcing: bool = False,
@@ -156,38 +131,37 @@ class CampaignResult:
 
 
 class MutationCampaign:
-    """Runs a set of mutants through the monitor-as-oracle workflow."""
+    """Runs a set of mutants through the monitor-as-oracle workflow.
 
-    def __init__(self, setup: Optional[SetupFactory] = None,
+    *setup* is what :func:`~repro.validation.legs.run_leg` builds each
+    leg from: a :class:`~repro.config.MonitorConfig` (the default is
+    :func:`campaign_config`) or a zero-argument factory returning
+    ``(cloud, monitor)`` for substituted models.  Every leg's deployment
+    is closed when the leg ends.
+    """
+
+    def __init__(self, setup=None,
                  battery: Optional[List[BatteryStep]] = None):
-        self.setup = setup or (
-            lambda: build_from_config(campaign_config()))
+        self.setup = setup or campaign_config()
         self.battery = battery or standard_battery()
 
     def run_baseline(self) -> bool:
         """Replay the battery on an unmutated cloud; True when clean."""
-        cloud, monitor = self.setup()
-        oracle = TestOracle(cloud, monitor)
-        oracle.run(self.battery)
-        return not monitor.violations()
+        leg = run_leg(self.setup, self.battery)
+        return not any(verdict.violation for verdict in leg.verdicts)
 
     def run_mutant(self, mutant: Mutant) -> KillRecord:
         """Apply *mutant* to a fresh cloud and replay the battery."""
-        cloud, monitor = self.setup()
-        mutant.apply(cloud)
-        try:
-            oracle = TestOracle(cloud, monitor)
-            oracle.run(self.battery)
-            violations = monitor.violations()
-            return KillRecord(
-                mutant,
-                killed=bool(violations),
-                violation_count=len(violations),
-                verdicts=sorted({v.verdict for v in violations}),
-                implicated_requirements=oracle.violated_requirements(),
-            )
-        finally:
-            mutant.revert(cloud)
+        leg = run_leg(self.setup, self.battery, mutant=mutant)
+        violations = [verdict for verdict in leg.verdicts
+                      if verdict.violation]
+        return KillRecord(
+            mutant,
+            killed=bool(violations),
+            violation_count=len(violations),
+            verdicts=sorted({v.verdict for v in violations}),
+            implicated_requirements=implicated_requirements(violations),
+        )
 
     def run(self, mutants: List[Mutant]) -> CampaignResult:
         """Run the baseline then every mutant; raises if the baseline fails.

@@ -162,6 +162,15 @@ def release2_battery() -> List[BatteryStep]:
     ]
 
 
+def implicated_requirements(violations) -> List[str]:
+    """Requirement ids the *violations* implicate, first-seen order."""
+    seen: Dict[str, None] = {}
+    for verdict in violations:
+        for requirement in verdict.security_requirements:
+            seen.setdefault(requirement, None)
+    return list(seen)
+
+
 class TestOracle:
     """Drives a battery through the monitor and collects the outcomes."""
 
@@ -222,8 +231,4 @@ class TestOracle:
 
     def violated_requirements(self) -> List[str]:
         """Requirement ids implicated in the recorded violations."""
-        seen: Dict[str, None] = {}
-        for verdict in self.violations:
-            for requirement in verdict.security_requirements:
-                seen.setdefault(requirement, None)
-        return list(seen)
+        return implicated_requirements(self.violations)

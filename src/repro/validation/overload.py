@@ -30,17 +30,15 @@ sheds, and the ladder climbs -- byte-identically on every run.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.auditlog import verdict_to_json
+from ..config import (AdmissionSection, CloudSection, DeadlineSection,
+                      DegradationSection, MonitorConfig, MonitorSection,
+                      ObservabilitySection, ResilienceSection)
+from ..core.admission import MODES
 from ..httpsim import Latency
 from ..workloads import Trace
-
-#: The hosts the Cinder-scenario monitor talks to; the Latency program
-#: is installed on each so probes and forwards both consume service time.
-OVERLOAD_HOSTS: Tuple[str, ...] = ("cinder", "keystone")
+from .legs import LegRecord, run_leg
 
 #: Virtual seconds one substrate send costs in every campaign leg.
 SERVICE_TIME = 0.05
@@ -81,10 +79,6 @@ def overload_config(enabled: bool = True,
     the ``cached_only`` rung is only meaningful with a cache to serve
     from.
     """
-    from ..config import (AdmissionSection, CloudSection, DeadlineSection,
-                          DegradationSection, MonitorConfig, MonitorSection,
-                          ObservabilitySection, ResilienceSection)
-
     return MonitorConfig(
         cloud=CloudSection(volume_quota=5),
         monitor=MonitorSection(enforcing=False, probe_cache=probe_cache),
@@ -184,232 +178,117 @@ def make_burst_trace(healthy: int = 10, burst: int = 24,
     return trace
 
 
-class OverloadRun:
-    """One campaign leg: verdicts, modes, and the three pinned digests."""
+def service_time(clock) -> Latency:
+    """Every substrate send consumes :data:`SERVICE_TIME` on *clock*.
 
-    def __init__(self, rows: List[str], statuses: List[int],
-                 modes: List[str], shed: int,
-                 transitions: List[Tuple[str, str]], final_mode: str,
-                 metrics_digest: str, events_digest: str,
-                 admission_stats: Optional[Dict[str, object]]):
-        #: One canonical JSONL row per verdict, in arrival order.
-        self.rows = rows
-        #: The HTTP status each replayed request came back with.
-        self.statuses = statuses
-        #: ``monitor_mode`` per monitored request, in arrival order.
-        self.modes = modes
-        self.shed = shed
-        self.transitions = transitions
-        self.final_mode = final_mode
-        self.metrics_digest = metrics_digest
-        self.events_digest = events_digest
-        self.admission_stats = admission_stats
-
-    def verdict_digest(self) -> str:
-        """SHA-256 over the verdict rows -- the parity fingerprint."""
-        digest = hashlib.sha256()
-        for row in self.rows:
-            digest.update(row.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
-
-    @property
-    def forwarded(self) -> List[bool]:
-        """Per-request ``forwarded`` flags from the verdict rows."""
-        return [json.loads(row)["forwarded"] for row in self.rows]
-
-    @property
-    def modes_seen(self) -> List[str]:
-        """Distinct modes served, in the ladder's escalation order."""
-        from ..core.admission import MODES
-
-        seen = set(self.modes)
-        return [mode for mode in MODES if mode in seen]
-
-
-def _lines_digest(lines: Iterable[str]) -> str:
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-def run_overload_leg(trace: Trace, config,
-                     service_time: float = SERVICE_TIME) -> OverloadRun:
-    """Replay *trace* (paced on the monitor's clock) through *config*.
-
-    A fresh cloud + monitor per leg, a :class:`~repro.httpsim.Latency`
-    program on every substrate host wired to the monitor's own clock --
-    so probe and forward sends consume deterministic virtual time and
-    the arrival schedule alone decides who sheds.
+    The fault factory every overload and sampling parity leg installs,
+    wired to the monitor's own clock, so probe and forward sends consume
+    deterministic virtual time and the arrival schedule alone decides
+    who sheds.
     """
-    from ..config import build_from_config
-
-    cloud, monitor = build_from_config(config)
-    try:
-        clock = monitor.obs.clock
-        if service_time > 0:
-            for host in OVERLOAD_HOSTS:
-                cloud.network.inject_fault(
-                    host, Latency(service_time, clock))
-        tokens = cloud.paper_tokens()
-        clients = {user: cloud.client(token)
-                   for user, token in tokens.items()}
-        responses = trace.replay(clients, "cmonitor", clock=clock)
-
-        events = monitor.obs.events.to_dicts()
-        modes = [record["monitor_mode"] for record in events
-                 if record["event"] == "monitor_request"]
-        transitions = [(record["from_mode"], record["to_mode"])
-                       for record in events
-                       if record["event"] == "monitor_mode_transition"]
-        metrics = monitor.obs.metrics
-        return OverloadRun(
-            rows=[verdict_to_json(verdict) for verdict in monitor.log],
-            statuses=[response.status_code for response in responses],
-            modes=modes,
-            shed=int(metrics.counter_value("monitor_shed_total")),
-            transitions=transitions,
-            final_mode=(monitor.ladder.mode
-                        if monitor.ladder is not None else "full"),
-            metrics_digest=hashlib.sha256(json.dumps(
-                monitor.obs.export_json(with_traces=False),
-                sort_keys=True).encode("utf-8")).hexdigest(),
-            events_digest=_lines_digest(
-                json.dumps(record, sort_keys=True) for record in events),
-            admission_stats=(monitor.admission.stats()
-                             if monitor.admission is not None else None))
-    finally:
-        monitor.close()
+    return Latency(SERVICE_TIME, clock)
 
 
-class OverloadParityReport:
-    """Disabled-controls baseline vs. enabled-but-generous leg."""
-
-    def __init__(self, baseline: OverloadRun, generous: OverloadRun):
-        self.baseline = baseline
-        self.generous = generous
-
-    @property
-    def verdict_parity(self) -> bool:
-        return self.baseline.rows == self.generous.rows
-
-    @property
-    def metrics_parity(self) -> bool:
-        return self.baseline.metrics_digest == self.generous.metrics_digest
-
-    @property
-    def events_parity(self) -> bool:
-        return self.baseline.events_digest == self.generous.events_digest
-
-    @property
-    def parity(self) -> bool:
-        """True when all three streams are byte-identical."""
-        return (self.verdict_parity and self.metrics_parity
-                and self.events_parity)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "parity": self.parity,
-            "verdict_parity": self.verdict_parity,
-            "metrics_parity": self.metrics_parity,
-            "events_parity": self.events_parity,
-            "verdict_digest": self.baseline.verdict_digest(),
-            "metrics_digest": self.baseline.metrics_digest,
-            "events_digest": self.baseline.events_digest,
-            "verdict_count": len(self.baseline.rows),
-        }
+def calm_leg(config) -> LegRecord:
+    """:func:`make_calm_trace` through *config*, at :data:`SERVICE_TIME`."""
+    return run_leg(config, make_calm_trace(), (service_time,))
 
 
-def run_parity_campaign(count: int = 12,
-                        spacing: float = 1.0) -> OverloadParityReport:
-    """Generous overload controls must be byte-invisible on a calm trace."""
-    trace = make_calm_trace(count=count, spacing=spacing)
-    baseline = run_overload_leg(trace, overload_config(enabled=False))
-    generous = run_overload_leg(make_calm_trace(count=count,
-                                                spacing=spacing),
-                                generous_config())
-    return OverloadParityReport(baseline, generous)
+def burst_leg() -> LegRecord:
+    """The 10x-burst trace through the tuned burst deployment."""
+    return run_leg(burst_config(), make_burst_trace(), (service_time,))
 
 
-class OverloadBurstReport:
-    """The burst leg plus its graceful-degradation invariants."""
-
-    def __init__(self, run: OverloadRun, trace_len: int):
-        self.run = run
-        self.trace_len = trace_len
-
-    @property
-    def all_answered(self) -> bool:
-        """Every replayed request produced a verdict and a 2xx answer."""
-        return (len(self.run.rows) == self.trace_len
-                and len(self.run.statuses) == self.trace_len
-                and all(status < 500 for status in self.run.statuses))
-
-    @property
-    def all_forwarded(self) -> bool:
-        return all(self.run.forwarded)
-
-    @property
-    def degraded_and_recovered(self) -> bool:
-        """Sheds happened, all three modes served, ladder back at full."""
-        return (self.run.shed > 0
-                and self.run.modes_seen == ["full", "cached_only",
-                                            "audit_only"]
-                and self.run.final_mode == "full")
-
-    @property
-    def ok(self) -> bool:
-        return (self.all_answered and self.all_forwarded
-                and self.degraded_and_recovered)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "requests": self.trace_len,
-            "verdicts": len(self.run.rows),
-            "all_answered": self.all_answered,
-            "all_forwarded": self.all_forwarded,
-            "shed": self.run.shed,
-            "modes_seen": self.run.modes_seen,
-            "transitions": [list(t) for t in self.run.transitions],
-            "final_mode": self.run.final_mode,
-            "verdict_digest": self.run.verdict_digest(),
-            "metrics_digest": self.run.metrics_digest,
-            "events_digest": self.run.events_digest,
-        }
+def stream_parity(baseline: LegRecord,
+                  other: LegRecord) -> Dict[str, object]:
+    """Verdict, metrics and event parity of two legs, with the
+    baseline's digests; ``parity`` holds when all three streams are
+    byte-identical."""
+    verdicts = baseline.rows == other.rows
+    metrics = baseline.metrics_digest() == other.metrics_digest()
+    events = baseline.events_digest() == other.events_digest()
+    return {
+        "parity": verdicts and metrics and events,
+        "verdict_parity": verdicts,
+        "metrics_parity": metrics,
+        "events_parity": events,
+        "verdict_digest": baseline.digest(),
+        "metrics_digest": baseline.metrics_digest(),
+        "events_digest": baseline.events_digest(),
+        "verdict_count": len(baseline.rows),
+    }
 
 
-def run_burst_campaign(**trace_kwargs) -> OverloadBurstReport:
-    """The 10x-burst leg under the tuned burst deployment."""
-    trace = make_burst_trace(**trace_kwargs)
-    run = run_overload_leg(trace, burst_config())
-    return OverloadBurstReport(run, len(trace))
+def modes_seen(record: LegRecord) -> List[str]:
+    """Distinct modes served, in the ladder's escalation order."""
+    seen = {event["monitor_mode"] for event in record.events()
+            if event["event"] == "monitor_request"}
+    return [mode for mode in MODES if mode in seen]
 
 
-def assert_burst_invariants(report: Optional[OverloadBurstReport] = None,
-                            ) -> OverloadBurstReport:
-    """Run (or check) the burst leg; raise on any broken invariant.
+def transitions(record: LegRecord) -> List[Tuple[str, str]]:
+    """The ladder's (from, to) mode transitions, in emission order."""
+    return [(event["from_mode"], event["to_mode"])
+            for event in record.events()
+            if event["event"] == "monitor_mode_transition"]
+
+
+def shed(record: LegRecord) -> int:
+    """Requests admission control shed."""
+    return int(record.metrics.counter_value("monitor_shed_total"))
+
+
+def final_mode(record: LegRecord) -> str:
+    """The ladder's mode once the traffic drained."""
+    ladder = record.monitors[0].ladder
+    return ladder.mode if ladder is not None else "full"
+
+
+def burst_summary(record: LegRecord) -> Dict[str, object]:
+    """The burst leg's graceful-degradation facts and digests."""
+    all_answered = (len(record.rows) == len(record.statuses)
+                    and all(status < 500 for status in record.statuses))
+    all_forwarded = all(verdict.forwarded for verdict in record.verdicts)
+    seen = modes_seen(record)
+    summary = {
+        "requests": len(record.statuses),
+        "verdicts": len(record.rows),
+        "all_answered": all_answered,
+        "all_forwarded": all_forwarded,
+        "shed": shed(record),
+        "modes_seen": seen,
+        "transitions": [list(pair) for pair in transitions(record)],
+        "final_mode": final_mode(record),
+        "verdict_digest": record.digest(),
+        "metrics_digest": record.metrics_digest(),
+        "events_digest": record.events_digest(),
+    }
+    summary["ok"] = (all_answered and all_forwarded and summary["shed"] > 0
+                     and seen == list(MODES)
+                     and summary["final_mode"] == "full")
+    return summary
+
+
+def assert_burst_invariants(record: LegRecord) -> LegRecord:
+    """Check the burst leg; raise on any broken invariant.
 
     The gate's hard contract, spelled out one assertion at a time so a
     failure names the broken property instead of a bare ``ok=False``.
     """
-    if report is None:
-        report = run_burst_campaign()
-    run = report.run
-    assert len(run.rows) == report.trace_len, (
-        f"burst dropped requests: {len(run.rows)} verdicts for "
-        f"{report.trace_len} requests")
-    bad = [status for status in run.statuses if status >= 500]
+    requests = len(record.statuses)
+    assert len(record.rows) == requests, (
+        f"burst dropped requests: {len(record.rows)} verdicts for "
+        f"{requests} requests")
+    bad = [status for status in record.statuses if status >= 500]
     assert not bad, f"burst produced error responses: {bad}"
-    assert all(run.forwarded), (
+    assert all(verdict.forwarded for verdict in record.verdicts), (
         "a burst request was not forwarded; overload must degrade, "
         "never block")
-    assert run.shed > 0, "the burst never shed -- not an overload"
-    assert run.modes_seen == ["full", "cached_only", "audit_only"], (
-        f"expected all three modes served, saw {run.modes_seen}")
-    assert run.final_mode == "full", (
-        f"ladder never recovered: finished at {run.final_mode}")
-    assert run.transitions, "no monitor_mode_transition events emitted"
-    return report
+    assert shed(record) > 0, "the burst never shed -- not an overload"
+    seen = modes_seen(record)
+    assert seen == ["full", "cached_only", "audit_only"], (
+        f"expected all three modes served, saw {seen}")
+    assert final_mode(record) == "full", (
+        f"ladder never recovered: finished at {final_mode(record)}")
+    assert transitions(record), "no monitor_mode_transition events emitted"
+    return record

@@ -5,23 +5,18 @@
   experiment's traffic),
 * :mod:`repro.workloads.scaling` -- synthetic model families of growing
   size (the SCALE experiment: contract generation and codegen cost as the
-  models grow) plus the fleet throughput ladder and its persisted
-  ``BENCH_scaling.json`` trajectory.
+  models grow),
+* :mod:`repro.workloads.trace` -- persistable request scripts, optionally
+  paced by arrival times.
 """
 
-from .generator import RequestMix, WorkloadRunner, make_workload
-from .scaling import (
-    append_trajectory,
-    balanced_tenants,
-    load_trajectory,
-    measure_fleet_throughput,
-    measure_overhead_ladder,
-    measure_overhead_volume,
-    overhead_trace,
-    scaling_sweep,
-    synthetic_models,
-    tenant_header_key,
+from .generator import (
+    RequestMix,
+    WorkloadRunner,
+    make_workload,
+    status_histogram,
 )
+from .scaling import synthetic_models
 from .trace import (
     RecordingClient,
     Trace,
@@ -37,18 +32,10 @@ __all__ = [
     "Trace",
     "TraceEntry",
     "WorkloadRunner",
-    "append_trajectory",
-    "balanced_tenants",
     "bursty_arrivals",
-    "load_trajectory",
     "make_workload",
-    "measure_fleet_throughput",
-    "measure_overhead_ladder",
-    "measure_overhead_volume",
-    "overhead_trace",
     "poisson_arrivals",
-    "scaling_sweep",
+    "status_histogram",
     "synthetic_models",
-    "tenant_header_key",
     "uniform_arrivals",
 ]

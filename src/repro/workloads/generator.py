@@ -3,8 +3,8 @@
 A workload is a list of concrete request plans (user, method, target kind)
 drawn from a :class:`RequestMix` with a seeded RNG, so benches are
 repeatable.  The :class:`WorkloadRunner` executes the same plan either
-straight at the cloud or through the monitor, which is exactly the
-comparison the OVERHEAD experiment reports.
+straight at the cloud or through the monitor registered on its network,
+which is exactly the comparison the OVERHEAD experiment reports.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ..cloud import PrivateCloud
-from ..core.monitor import CloudMonitor
 
 #: One planned request: (user, method, target kind) where target kind is
 #: "collection" or "item".
@@ -55,15 +54,23 @@ def make_workload(count: int, seed: int = 42,
     return plans
 
 
+def status_histogram(statuses: List[int]) -> Dict[str, int]:
+    """Status classes (``2xx``, ``4xx``, ``5xx`` always present) and
+    their counts."""
+    histogram: Dict[str, int] = {"2xx": 0, "4xx": 0, "5xx": 0}
+    for status in statuses:
+        bucket = f"{status // 100}xx"
+        histogram[bucket] = histogram.get(bucket, 0) + 1
+    return histogram
+
+
 class WorkloadRunner:
     """Executes one plan list against the cloud, directly or monitored."""
 
     def __init__(self, cloud: PrivateCloud,
-                 monitor: Optional[CloudMonitor] = None,
                  project_id: str = "myProject",
                  monitor_host: str = "cmonitor"):
         self.cloud = cloud
-        self.monitor = monitor
         self.project_id = project_id
         self.monitor_host = monitor_host
         tokens = cloud.paper_tokens(project_id)
@@ -83,13 +90,13 @@ class WorkloadRunner:
         return f"{self._collection_url(monitored)}/{volume_id}"
 
     def execute(self, plans: List[Plan], monitored: bool = False,
-                ) -> Dict[str, int]:
-        """Run every plan; returns a status-class histogram.
+                ) -> List[int]:
+        """Run every plan; returns each request's status, in order.
 
         Requests targeting an item when no volume exists fall back to the
-        collection GET so the histogram stays comparable between runs.
+        collection GET, so every plan sends exactly one request.
         """
-        histogram: Dict[str, int] = {"2xx": 0, "4xx": 0, "5xx": 0}
+        statuses: List[int] = []
         for user, method, target in plans:
             client = self.clients[user]
             if target == "item":
@@ -105,6 +112,5 @@ class WorkloadRunner:
             elif method == "PUT":
                 payload = {"volume": {"name": "renamed"}}
             response = client.request(method, url, payload=payload)
-            bucket = f"{response.status_code // 100}xx"
-            histogram[bucket] = histogram.get(bucket, 0) + 1
-        return histogram
+            statuses.append(response.status_code)
+        return statuses

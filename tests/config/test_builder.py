@@ -10,7 +10,6 @@ the recorded baseline; these tests pin the equivalence between the two
 ways of writing a config down.
 """
 
-import hashlib
 from dataclasses import replace
 
 import pytest
@@ -27,14 +26,13 @@ from repro.config import (
     resilience_options,
 )
 from repro.core import CloudMonitor, MonitorFleet
-from repro.core.auditlog import verdict_to_json
 from repro.errors import ConfigError
 from repro.obs import ManualClock
 from repro.httpsim import Request
 from repro.obs.slo import BucketCount, CounterTotal, Linear, ObservationCount
-from repro.validation import campaign_config, chaos_config
-from repro.validation.chaos import CHAOS_HOSTS, recoverable_program
-from repro.workloads import WorkloadRunner, make_workload
+from repro.validation import (campaign_config, chaos_config,
+                              recoverable_program, run_leg)
+from repro.workloads import make_workload
 
 COUNT, SEED = 16, 7
 
@@ -50,17 +48,9 @@ def chaos_document(shards=1):
     })
 
 
-def run_rows(cloud, deployment, faulted=False):
-    if faulted:
-        for host in CHAOS_HOSTS:
-            cloud.network.inject_fault(host, recoverable_program())
-    monitored = getattr(deployment, "shards", None) is None
-    runner = (WorkloadRunner(cloud, deployment) if monitored
-              else WorkloadRunner(cloud))
-    runner.execute(make_workload(COUNT, seed=SEED), monitored=True)
-    rows = [verdict_to_json(verdict) for verdict in deployment.log]
-    deployment.close()
-    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+def run_rows(config, faulted=False):
+    faults = (recoverable_program,) if faulted else ()
+    return run_leg(config, make_workload(COUNT, seed=SEED), faults).digest()
 
 
 class TestDocumentParity:
@@ -69,24 +59,20 @@ class TestDocumentParity:
     @pytest.mark.parametrize("faulted", [False, True],
                              ids=["clean", "faulted"])
     def test_monitor_document_matches_chaos_config(self, faulted):
-        expected = run_rows(*build_from_config(chaos_config()),
-                            faulted=faulted)
-        document = run_rows(*build_from_config(chaos_document()),
-                            faulted=faulted)
+        expected = run_rows(chaos_config(), faulted=faulted)
+        document = run_rows(chaos_document(), faulted=faulted)
         assert document == expected
 
     @pytest.mark.parametrize("faulted", [False, True],
                              ids=["clean", "faulted"])
     def test_fleet_document_matches_chaos_config(self, faulted):
-        expected = run_rows(*build_from_config(chaos_config(shards=4)),
-                            faulted=faulted)
-        document = run_rows(*build_from_config(chaos_document(shards=4)),
-                            faulted=faulted)
+        expected = run_rows(chaos_config(shards=4), faulted=faulted)
+        document = run_rows(chaos_document(shards=4), faulted=faulted)
         assert document == expected
 
     def test_fleet_and_single_agree(self):
-        single = run_rows(*build_from_config(chaos_document()))
-        fleet = run_rows(*build_from_config(chaos_document(shards=4)))
+        single = run_rows(chaos_document())
+        fleet = run_rows(chaos_document(shards=4))
         assert fleet == single
 
     def test_audit_document_matches_campaign_config(self):
@@ -96,8 +82,8 @@ class TestDocumentParity:
         in_code = replace(campaign_config(),
                           observability=ObservabilitySection(clock="manual"))
         for faulted in (False, True):
-            assert run_rows(*build_from_config(audit), faulted=faulted) \
-                == run_rows(*build_from_config(in_code), faulted=faulted)
+            assert run_rows(audit, faulted=faulted) \
+                == run_rows(in_code, faulted=faulted)
 
 
 class TestBuildPieces:

@@ -1,12 +1,9 @@
 """Hypothesis properties for the config document.
 
-Two guarantees the digest gate relies on, pinned over generated
-configs rather than hand-picked examples:
-
-* losslessness -- ``loads(dumps(cfg)) == cfg`` in both formats, so the
-  canonical digest is a true fingerprint of the deployment;
-* migrate idempotence -- ``migrate(migrate(d)) == migrate(d)``, for
-  both current documents and legacy flat (v0) ones.
+The guarantee the digest gate relies on, pinned over generated configs
+rather than hand-picked examples: losslessness -- ``loads(dumps(cfg))
+== cfg`` in both formats, so the canonical digest is a true
+fingerprint of the deployment.
 """
 
 from hypothesis import given, settings
@@ -17,7 +14,6 @@ from repro.config import (
     config_digest,
     dumps,
     loads,
-    migrate,
 )
 
 names = st.text(
@@ -78,19 +74,6 @@ documents = st.fixed_dictionaries({
                        a["name"]),
 })
 
-legacy_documents = st.fixed_dictionaries({}, optional={
-    "scenario": st.sampled_from(["cinder", "nova", "keystone"]),
-    "enforcing": st.booleans(),
-    "probe_planning": st.booleans(),
-    "fanout": st.integers(min_value=1, max_value=4),
-    "probe_cache": st.booleans(),
-    "shards": st.integers(min_value=1, max_value=8),
-    "resilient": st.booleans(),
-    "manual_clock": st.booleans(),
-    "volume_quota": st.integers(min_value=1, max_value=50),
-    "retry": st.fixed_dictionaries({"seed": seeds}),
-})
-
 
 @settings(max_examples=100, deadline=None)
 @given(data=documents)
@@ -108,21 +91,3 @@ def test_from_dict_to_dict_is_a_fixed_point(data):
     config = MonitorConfig.from_dict(data)
     canonical = config.to_dict()
     assert MonitorConfig.from_dict(canonical).to_dict() == canonical
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=documents)
-def test_migrate_is_identity_on_current_documents(data):
-    config = MonitorConfig.from_dict(data)
-    assert migrate(config.to_dict()) == config.to_dict()
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=legacy_documents)
-def test_migrate_is_idempotent_on_legacy_documents(data):
-    once = migrate(data)
-    assert migrate(once) == once
-    # and the lifted document is digest-stable through a dump/load cycle
-    config = MonitorConfig.from_dict(once)
-    assert config_digest(loads(dumps(config, format="yaml"))) \
-        == config_digest(config)

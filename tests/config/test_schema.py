@@ -20,7 +20,6 @@ from repro.config import (
     dumps,
     load,
     loads,
-    migrate,
     parse_text,
 )
 from repro.errors import ConfigError
@@ -158,16 +157,12 @@ class TestValidation:
 
     def test_compiled_is_rejected_where_it_cannot_build(self):
         # Every contract compiles when it is generated, so the old
-        # ``scenario.compiled`` switch is an unknown key in every scenario
-        # and in legacy documents alike.
+        # ``scenario.compiled`` switch is an unknown key in every scenario.
         for name in ("cinder", "nova", "keystone"):
             with pytest.raises(ConfigError, match="compiled"):
                 MonitorConfig.from_dict({
                     "config_version": 1,
                     "scenario": {"name": name, "compiled": False}})
-        with pytest.raises(ConfigError,
-                           match="unknown legacy config key 'compiled'"):
-            migrate({"scenario": "cinder", "compiled": True})
 
 
 class TestDigestDocument:

@@ -25,12 +25,15 @@ The reference legs stay at zero latency.
 import json
 
 from repro.validation import (
+    chaos_config,
     flaky_program,
+    real_latency,
     recoverable_program,
-    run_fleet_leg,
+    retries,
     run_leg,
     unrecoverable_program,
 )
+from repro.workloads import make_workload
 
 COUNT = 24
 SEED = 7
@@ -39,18 +42,19 @@ FANOUT = 4
 #: Real seconds each substrate request sleeps on the fan-out legs.
 LATENCY = 0.002
 FANOUT_LEGS = ("fanout", "fleet+fanout")
+WORKLOAD = make_workload(COUNT, seed=SEED)
+SLOW = (real_latency(LATENCY),)
 
 
-def legs(fault_factory=None):
+def legs(*faults):
     """The four execution shapes over one identical seeded workload."""
     return {
-        "serial": run_leg(COUNT, SEED, fault_factory),
-        "fanout": run_leg(COUNT, SEED, fault_factory, fanout=FANOUT,
-                          latency=LATENCY),
-        "fleet": run_fleet_leg(COUNT, SEED, fault_factory, shards=SHARDS),
-        "fleet+fanout": run_fleet_leg(COUNT, SEED, fault_factory,
-                                      shards=SHARDS, fanout=FANOUT,
-                                      latency=LATENCY),
+        "serial": run_leg(chaos_config(), WORKLOAD, faults),
+        "fanout": run_leg(chaos_config(fanout=FANOUT), WORKLOAD,
+                          SLOW + faults),
+        "fleet": run_leg(chaos_config(shards=SHARDS), WORKLOAD, faults),
+        "fleet+fanout": run_leg(chaos_config(shards=SHARDS, fanout=FANOUT),
+                                WORKLOAD, SLOW + faults),
     }
 
 
@@ -81,8 +85,8 @@ class TestCleanParity:
     def test_fanout_actually_engaged(self):
         # Guard against vacuous parity: the concurrent leg must really
         # have sent probes from pool threads, and the same probes.
-        serial = run_leg(COUNT, SEED)
-        fanout = run_leg(COUNT, SEED, fanout=FANOUT, latency=LATENCY)
+        serial = run_leg(chaos_config(), WORKLOAD)
+        fanout = run_leg(chaos_config(fanout=FANOUT), WORKLOAD, SLOW)
         assert fanout.dispatched > 0
         assert serial.dispatched == 0
         assert fanout.probe_count == serial.probe_count
@@ -91,15 +95,15 @@ class TestCleanParity:
 
 class TestFaultedParity:
     def test_fail_once_faults_are_invisible_everywhere(self):
-        clean = run_leg(COUNT, SEED)
+        clean = run_leg(chaos_config(), WORKLOAD)
         runs = legs(recoverable_program)
         reference = assert_all_identical(runs)
         assert_pool_engaged(runs)
         # Fully recoverable: the faulted stream equals the clean stream,
         # and retries were genuinely absorbed (not just never needed).
         assert reference.rows == clean.rows
-        assert runs["serial"].retries > 0
-        assert runs["fleet+fanout"].retries > 0
+        assert retries(runs["serial"]) > 0
+        assert retries(runs["fleet+fanout"]) > 0
 
     def test_keyed_flaky_faults_keep_all_shapes_in_agreement(self):
         runs = legs(flaky_program)
@@ -125,12 +129,12 @@ class TestParityDiagnostics:
         # The fleet shares one trace-id allocator across shards; the
         # merged stream must keep the single gap-free t-NNNNNN sequence
         # a serial monitor would have minted.
-        leg = run_fleet_leg(COUNT, SEED, shards=SHARDS)
+        leg = run_leg(chaos_config(shards=SHARDS), WORKLOAD)
         trace_ids = [json.loads(row)["correlation_id"]
                      for row in leg.rows]
         expected = [f"t-{n:06d}" for n in range(1, COUNT + 1)]
         assert trace_ids == expected
 
     def test_digest_is_deterministic_across_runs(self):
-        assert run_leg(COUNT, SEED).digest() == \
-            run_leg(COUNT, SEED).digest()
+        assert run_leg(chaos_config(), WORKLOAD).digest() == \
+            run_leg(chaos_config(), WORKLOAD).digest()

@@ -18,11 +18,17 @@ from repro.errors import MonitorError
 from repro.validation import (
     TestOracle,
     campaign_config,
-    measure_probe_rate,
+    chaos_config,
+    first_divergence,
+    probes_per_request,
     recoverable_program,
-    run_cache_parity_campaign,
+    run_leg,
     standard_battery,
 )
+from repro.workloads import make_workload
+
+#: The chaos workload the cache-parity legs replay.
+WORKLOAD = make_workload(40, seed=7)
 
 
 class TestProbeCacheUnit:
@@ -123,11 +129,12 @@ class TestMonitorWiring:
             assert after > before
 
     def test_probe_rate_drops_under_budget(self):
-        baseline = measure_probe_rate()
-        cached = measure_probe_rate(probe_cache=True)
-        assert cached["probes_per_request"] < baseline["probes_per_request"]
-        assert cached["probes_per_request"] < 7.20
-        assert cached["cache"]["hits"] > 0
+        workload = make_workload(60, seed=42)
+        baseline = run_leg(campaign_config(), workload)
+        cached = run_leg(campaign_config(probe_cache=True), workload)
+        assert probes_per_request(cached) < probes_per_request(baseline)
+        assert probes_per_request(cached) < 7.20
+        assert cached.monitors[0].probe_cache.stats()["hits"] > 0
 
     def test_fleet_shards_own_their_caches(self):
         from repro.cloud import PrivateCloud
@@ -157,27 +164,27 @@ class TestMonitorWiring:
 
 class TestChaosParity:
     def test_parity_on_clean_substrate(self):
-        report = run_cache_parity_campaign()
-        assert report.parity
-        assert report.first_divergence() is None
+        uncached = run_leg(chaos_config(), WORKLOAD)
+        cached = run_leg(chaos_config(probe_cache=True), WORKLOAD)
+        assert cached.rows == uncached.rows
+        assert first_divergence(uncached, cached) is None
 
     def test_parity_under_recoverable_faults(self):
-        report = run_cache_parity_campaign(
-            fault_factory=recoverable_program)
-        assert report.parity
+        faults = (recoverable_program,)
+        uncached = run_leg(chaos_config(), WORKLOAD, faults)
+        cached = run_leg(chaos_config(probe_cache=True), WORKLOAD, faults)
+        assert cached.rows == uncached.rows
 
     def test_cached_fleet_matches_uncached_serial(self):
         """Shards partition traffic, not cloud state: one shard's
         forwarded mutation must invalidate every shard's cache."""
-        from repro.validation import run_fleet_leg, run_leg
-
-        serial = run_leg(count=30, seed=7)
-        fleet = run_fleet_leg(count=30, seed=7, shards=4,
-                              probe_cache=True)
+        workload = make_workload(30, seed=7)
+        serial = run_leg(chaos_config(), workload)
+        fleet = run_leg(chaos_config(shards=4, probe_cache=True), workload)
         assert serial.rows == fleet.rows
 
 
-class TestCompileThreadSafety:
+class TestProbePlanMemo:
     def _contract(self):
         from repro.core.behavior_model import cinder_behavior_model
         from repro.core.contracts import ContractGenerator

@@ -94,17 +94,16 @@ class TestPlannedVersusUnplanned:
         workload = make_workload(80, seed=7)
         cloud, monitor = build_from_config(campaign_config(
             probe_planning=probe_planning))
-        runner = WorkloadRunner(cloud, monitor)
-        histogram = runner.execute(workload, monitored=True)
+        statuses = WorkloadRunner(cloud).execute(workload, monitored=True)
         rows = [v.to_dict() for v in monitor.log]
         coverage = {rid: (r.exercised, r.passed, r.failed)
                     for rid, r in monitor.coverage.records.items()}
-        return histogram, rows, coverage, monitor.provider.probe_count
+        return statuses, rows, coverage, monitor.provider.probe_count
 
     def test_verdicts_and_coverage_identical_probes_fewer(self):
         planned = self._run(True)
         unplanned = self._run(False)
-        assert planned[0] == unplanned[0]          # status histogram
+        assert planned[0] == unplanned[0]          # per-request statuses
         assert planned[1] == unplanned[1]          # full audit-log rows
         assert planned[2] == unplanned[2]          # coverage counters
         assert planned[3] < unplanned[3]           # strictly fewer probes

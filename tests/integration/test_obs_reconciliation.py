@@ -33,8 +33,8 @@ def run_workload(seed, count=40, enforcing=False):
     cloud, monitor = build_from_config(replace(
         campaign_config(enforcing=enforcing),
         observability=ObservabilitySection(clock="manual", tick=1e-4)))
-    runner = WorkloadRunner(cloud, monitor)
-    runner.execute(make_workload(count, seed=seed), monitored=True)
+    WorkloadRunner(cloud).execute(make_workload(count, seed=seed),
+                                  monitored=True)
     return monitor
 
 
@@ -107,7 +107,7 @@ def run_sampled(shards, count=24, rate=0.25, seed=3,
                               MonitorSection, ObservabilitySection,
                               SamplingSection, build_fleet_from_config,
                               build_from_config)
-    from repro.workloads import overhead_trace
+    from repro.validation import overhead_trace
 
     config = MonitorConfig(
         cloud=CloudSection(volume_quota=5),

@@ -1,5 +1,7 @@
 """Tests for the cloudmon command line."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -274,18 +276,23 @@ class TestFleet:
         assert summary["serial_digest"] == summary["fleet_digest"]
         assert summary["verdicts"] == 16
 
-    def test_bench_mode_appends_trajectory(self, capsys, tmp_path):
-        import json
 
-        trajectory = tmp_path / "BENCH_scaling.json"
-        assert main(["fleet", "--bench", "--shards", "2",
-                     "--requests", "16", "--latency", "0.001",
-                     "--trajectory", str(trajectory)]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        recorded = json.loads(trajectory.read_text())
-        assert len(recorded["entries"]) == 1
-        assert recorded["entries"][0]["peak_shards"] == 2
+class TestConfig:
+    EXAMPLE = str(Path(__file__).resolve().parents[1] / "examples"
+                  / "monitor.yaml")
+
+    def test_shipped_example_validates_and_shows(self, capsys):
+        assert main(["config", "validate", self.EXAMPLE]) == 0
+        assert "valid (config_version 1" in capsys.readouterr().out
+        assert main(["config", "show", self.EXAMPLE]) == 0
+        assert "config_version: 1" in capsys.readouterr().out
+
+    def test_flat_version_zero_document_is_refused(self, capsys, tmp_path):
+        flat = tmp_path / "legacy.json"
+        flat.write_text('{"enforcing": false, "shards": 4}')
+        for command in ("validate", "show"):
+            assert main(["config", command, str(flat)]) != 0
+            assert "config_version" in capsys.readouterr().err
 
 
 class TestOverload:

@@ -1,4 +1,5 @@
-"""No module under ``src/`` or ``scripts/`` imports a name it never uses.
+"""No module in ``src/``, ``scripts/``, ``tests/``, ``benchmarks/`` or
+``examples/`` imports a name it never uses.
 
 A stdlib ``ast`` scan, so it needs no linter: every name an ``import``
 binds must be read somewhere in the module -- as a name, inside an
@@ -60,10 +61,11 @@ def unused_imports(path):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = [path for top in ("src", "scripts")
+    modules = [path for top in ("src", "scripts", "tests", "benchmarks",
+                                "examples")
                for path in sorted((ROOT / top).rglob("*.py"))
                if path.name != "__init__.py"]
-    assert len(modules) > 50
+    assert len(modules) > 150
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in modules for line, name in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)

@@ -7,27 +7,41 @@ from repro.validation import (
     EXPECTED_BREAKER_SEQUENCE,
     assert_breaker_sequence,
     assert_indeterminate_degradation,
+    chaos_config,
+    first_divergence,
+    indeterminate,
+    recoverable_program,
+    retries,
     run_breaker_sequence,
-    run_chaos_campaign,
     run_leg,
+    unrecoverable_program,
 )
+from repro.workloads import make_workload
+
+WORKLOAD = make_workload(25, seed=7)
+
+
+def baseline_and_faulted():
+    """The fault-free leg and the fail-once leg over one workload."""
+    return (run_leg(chaos_config(), WORKLOAD),
+            run_leg(chaos_config(), WORKLOAD, (recoverable_program,)))
 
 
 class TestRecoverableFaults:
     def test_verdicts_are_byte_identical_to_the_fault_free_baseline(self):
-        report = run_chaos_campaign(count=25, seed=7)
-        assert report.parity, (
-            f"first divergence at row {report.first_divergence()}")
-        assert report.baseline.digest() == report.faulted.digest()
+        baseline, faulted = baseline_and_faulted()
+        assert faulted.rows == baseline.rows, (
+            f"first divergence at row {first_divergence(baseline, faulted)}")
+        assert baseline.digest() == faulted.digest()
         # Retries actually happened -- parity was earned, not vacuous.
-        assert report.faulted.retries > 0
-        assert report.baseline.retries == 0
-        assert report.faulted.indeterminate == 0
+        assert retries(faulted) > 0
+        assert retries(baseline) == 0
+        assert indeterminate(faulted) == 0
 
     def test_faulted_leg_pays_extra_probes_but_same_verdict_count(self):
-        report = run_chaos_campaign(count=25, seed=7)
-        assert len(report.faulted.rows) == len(report.baseline.rows)
-        assert report.faulted.probe_count >= report.baseline.probe_count
+        baseline, faulted = baseline_and_faulted()
+        assert len(faulted.rows) == len(baseline.rows)
+        assert faulted.probe_count >= baseline.probe_count
 
 
 class TestUnrecoverableFaults:
@@ -42,10 +56,8 @@ class TestUnrecoverableFaults:
             assert record["forwarded"] is False
 
     def test_dead_substrate_never_reports_violations(self):
-        from repro.validation.chaos import unrecoverable_program
-
-        leg = run_leg(count=12, seed=7,
-                      fault_factory=unrecoverable_program)
+        leg = run_leg(chaos_config(), make_workload(12, seed=7),
+                      (unrecoverable_program,))
         for row in leg.rows:
             assert json.loads(row)["verdict"] not in Verdict.VIOLATIONS
 

@@ -7,24 +7,32 @@ import pytest
 from repro.validation import (
     assert_burst_invariants,
     burst_config,
+    burst_leg,
+    burst_summary,
+    calm_leg,
     generous_config,
     make_burst_trace,
     make_calm_trace,
     overload_config,
-    run_burst_campaign,
-    run_overload_leg,
-    run_parity_campaign,
+    stream_parity,
+)
+from repro.validation.overload import (
+    final_mode,
+    modes_seen,
+    shed,
+    transitions,
 )
 
 
 @pytest.fixture(scope="module")
 def parity():
-    return run_parity_campaign()
+    return stream_parity(calm_leg(overload_config(enabled=False)),
+                         calm_leg(generous_config()))
 
 
 @pytest.fixture(scope="module")
 def burst():
-    return run_burst_campaign()
+    return burst_leg()
 
 
 class TestConfigs:
@@ -58,56 +66,55 @@ class TestConfigs:
 
 class TestParity:
     def test_generous_controls_are_byte_invisible(self, parity):
-        assert parity.verdict_parity
-        assert parity.metrics_parity
-        assert parity.events_parity
-        assert parity.parity
+        assert parity["verdict_parity"]
+        assert parity["metrics_parity"]
+        assert parity["events_parity"]
+        assert parity["parity"]
 
     def test_report_shape(self, parity):
-        report = parity.to_dict()
-        assert report["parity"] is True
-        assert report["verdict_count"] == 12
+        assert parity["parity"] is True
+        assert parity["verdict_count"] == 12
 
 
 class TestBurst:
     def test_invariants_hold(self, burst):
-        assert burst.ok
+        assert burst_summary(burst)["ok"]
         assert_burst_invariants(burst)
 
     def test_every_request_answered_and_forwarded(self, burst):
-        assert burst.all_answered
-        assert burst.all_forwarded
-        assert all(status < 500 for status in burst.run.statuses)
+        summary = burst_summary(burst)
+        assert summary["all_answered"]
+        assert summary["all_forwarded"]
+        assert all(status < 500 for status in burst.statuses)
 
     def test_ladder_walks_down_and_recovers(self, burst):
-        assert burst.run.shed > 0
-        assert burst.run.modes_seen == ["full", "cached_only",
-                                        "audit_only"]
-        assert burst.run.final_mode == "full"
-        assert burst.run.transitions[0] == ("full", "cached_only")
-        assert burst.run.transitions[-1] == ("cached_only", "full")
+        assert shed(burst) > 0
+        assert modes_seen(burst) == ["full", "cached_only", "audit_only"]
+        assert final_mode(burst) == "full"
+        assert transitions(burst)[0] == ("full", "cached_only")
+        assert transitions(burst)[-1] == ("cached_only", "full")
 
     def test_deadline_exhaustion_degrades_instead_of_blocking(self, burst):
         # The mid-burst write invalidates the probe cache, so lagged
         # requests probe live on exhausted budgets and must degrade
         # with the deadline_exceeded reason -- never stall or 5xx.
-        rows = [json.loads(row) for row in burst.run.rows]
+        rows = [json.loads(row) for row in burst.rows]
         degraded = [row for row in rows
                     if "deadline_exceeded" in (row.get("message") or "")]
         assert degraded
         assert all(row["verdict"] == "indeterminate" for row in degraded)
 
     def test_digests_are_stable_across_runs(self, burst):
-        again = run_burst_campaign()
-        assert again.run.verdict_digest() == burst.run.verdict_digest()
-        assert again.run.metrics_digest == burst.run.metrics_digest
-        assert again.run.events_digest == burst.run.events_digest
+        again = burst_leg()
+        assert again.digest() == burst.digest()
+        assert again.metrics_digest() == burst.metrics_digest()
+        assert again.events_digest() == burst.events_digest()
 
 
 class TestLeg:
     def test_calm_leg_stays_in_full_mode(self):
-        run = run_overload_leg(make_calm_trace(), generous_config())
-        assert run.shed == 0
-        assert run.modes_seen == ["full"]
-        assert run.final_mode == "full"
-        assert run.admission_stats["shed"] == 0
+        leg = calm_leg(generous_config())
+        assert shed(leg) == 0
+        assert modes_seen(leg) == ["full"]
+        assert final_mode(leg) == "full"
+        assert leg.monitors[0].admission.stats()["shed"] == 0

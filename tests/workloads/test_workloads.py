@@ -10,6 +10,7 @@ from repro.workloads import (
     RequestMix,
     WorkloadRunner,
     make_workload,
+    status_histogram,
     synthetic_models,
 )
 
@@ -44,37 +45,37 @@ class TestMakeWorkload:
 
 class TestWorkloadRunner:
     def test_direct_execution_histogram(self):
-        cloud, monitor = build_from_config(campaign_config())
-        runner = WorkloadRunner(cloud, monitor)
-        histogram = runner.execute(make_workload(40), monitored=False)
-        assert sum(histogram.values()) == 40
+        cloud, _monitor = build_from_config(campaign_config())
+        statuses = WorkloadRunner(cloud).execute(make_workload(40),
+                                                 monitored=False)
+        histogram = status_histogram(statuses)
+        assert sum(histogram.values()) == len(statuses) == 40
         assert histogram["2xx"] > 0
         assert histogram["5xx"] == 0
 
     def test_monitored_execution_histogram(self):
-        cloud, monitor = build_from_config(campaign_config())
-        runner = WorkloadRunner(cloud, monitor)
-        histogram = runner.execute(make_workload(40), monitored=True)
-        assert sum(histogram.values()) == 40
+        cloud, _monitor = build_from_config(campaign_config())
+        statuses = WorkloadRunner(cloud).execute(make_workload(40),
+                                                 monitored=True)
+        histogram = status_histogram(statuses)
+        assert sum(histogram.values()) == len(statuses) == 40
         assert histogram["5xx"] == 0  # audit mode, clean cloud: no 502s
 
     def test_monitored_clean_cloud_no_violations(self):
         cloud, monitor = build_from_config(campaign_config())
-        runner = WorkloadRunner(cloud, monitor)
-        runner.execute(make_workload(60, seed=3), monitored=True)
+        WorkloadRunner(cloud).execute(make_workload(60, seed=3),
+                                      monitored=True)
         assert monitor.violations() == []
 
     def test_same_plan_both_paths_same_success_profile(self):
         # The monitor must be transparent for valid traffic: the 2xx count
         # through the monitor matches the direct run on a fresh cloud.
         plans = make_workload(40, seed=11)
-        cloud_a, monitor_a = build_from_config(campaign_config())
-        direct = WorkloadRunner(cloud_a, monitor_a).execute(
-            plans, monitored=False)
-        cloud_b, monitor_b = build_from_config(campaign_config())
-        monitored = WorkloadRunner(cloud_b, monitor_b).execute(
-            plans, monitored=True)
-        assert direct == monitored
+        cloud_a, _monitor_a = build_from_config(campaign_config())
+        direct = WorkloadRunner(cloud_a).execute(plans, monitored=False)
+        cloud_b, _monitor_b = build_from_config(campaign_config())
+        monitored = WorkloadRunner(cloud_b).execute(plans, monitored=True)
+        assert status_histogram(direct) == status_histogram(monitored)
 
 
 class TestSyntheticModels:
